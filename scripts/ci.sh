@@ -8,8 +8,11 @@
 # plus ASan, TSan, and UBSan passes over the fault-handling suites
 # (recovery_test + chaos_test + failover_test — the crash-restart / RESUME
 # machinery and the primary-failover election/fencing path, with
-# pipeline-enabled campaigns). The TSan leg additionally runs core_mt_test
-# and failover-adjacent MT suites unconditionally.
+# pipeline-enabled campaigns) and the real-time suites (net_test +
+# integration_test + common_test — the epoll event loop, TCP framing under
+# hostile bytes, handler teardown). The TSan leg additionally runs
+# core_mt_test and failover-adjacent MT suites unconditionally. A short
+# perfbench tcp_small run closes the plain pass as a correctness smoke.
 #
 # Usage: scripts/ci.sh [extra cmake args...]
 # Env:   STAB_CI_SANITIZER=address|thread|undefined  (default: address)
@@ -67,9 +70,11 @@ echo "==> metrics endpoint smoke (live TCP cluster + 2 scrapes mid-traffic)"
 # itself to exit 0 — i.e. the scraped cluster still reached "everywhere"
 # stability.
 EXPORT_LOG="$(mktemp)"
-# Randomized cluster base port (the scrape port itself is always
-# kernel-assigned and read back from METRICS_PORT).
-BASE_PORT=$(( 24000 + RANDOM % 20000 ))
+# Randomized cluster base port below Linux's ephemeral range (32768-60999),
+# so no node's outgoing connection can hold a port a later node listens on
+# (the scrape port itself is always kernel-assigned and read back from
+# METRICS_PORT).
+BASE_PORT=$(( 20000 + RANDOM % 12000 ))
 "$ROOT/build/examples/metrics_export" "$BASE_PORT" 6 >"$EXPORT_LOG" 2>&1 &
 EXPORT_PID=$!
 PORT=""
@@ -106,6 +111,15 @@ if ! wait "$EXPORT_PID"; then
 fi
 rm -f "$EXPORT_LOG"
 echo "    scraped mid-traffic: messages_sent $SENT1 -> $SENT2, demo exit 0"
+
+echo "==> perfbench tcp_small smoke (correctness only)"
+# The end-to-end benchmark's real-TCP workload, judged on its exit code: it
+# exits nonzero when any write is lost, duplicated, reordered, corrupted or
+# not stable by its deadline. Its figures are not compared here.
+BENCH_OUT="$(mktemp -d)"
+python3 "$ROOT/perfbench/run.py" --workload tcp_small --seed "$RANDOM" \
+  --seconds 4 --trace 0 --out "$BENCH_OUT" >/dev/null
+rm -rf "$BENCH_OUT"
 
 # Compiled-out flavor: the obs macros must vanish cleanly — build the core
 # with -DSTAB_OBS=OFF and run the suites that pin the disabled contract
@@ -183,25 +197,31 @@ echo "==> $SAN sanitizer: control_test + core_test + core_mt_test" \
 "$SAN_DIR/tests/obs_test"
 "$SAN_DIR/tests/shard_test"
 
-# Fault-handling suites under the full sanitizer matrix — ASan, TSan, and
-# UBSan as real legs: the crash-restart path destroys and rebuilds
-# Stabilizers mid-simulation (lifetime hazards), the TCP reconnect path
-# crosses the IO thread (ordering hazards), and the failover codecs +
-# epoch/cursor arithmetic exercise shifts, casts, and enum round-trips on
-# hostile inputs (UB hazards).
+# Fault-handling and real-time suites under the full sanitizer matrix —
+# ASan, TSan, and UBSan as real legs: the crash-restart path destroys and
+# rebuilds Stabilizers mid-simulation (lifetime hazards), the event loop
+# and the TCP transport share a node's thread with user senders and
+# handler teardown (ordering and lifetime hazards), and the failover codecs,
+# TCP framing and epoch/cursor arithmetic exercise shifts, casts, and enum
+# round-trips on hostile inputs (UB hazards).
 for FSAN in address thread undefined; do
   FSAN_DIR="$ROOT/build-$FSAN"
-  echo "==> $FSAN sanitizer: recovery_test + chaos_test + failover_test (build-$FSAN/)"
+  echo "==> $FSAN sanitizer: recovery_test + chaos_test + failover_test" \
+       "+ net_test + integration_test + common_test (build-$FSAN/)"
   cmake -B "$FSAN_DIR" -S "$ROOT" -DSTAB_SANITIZE="$FSAN" "$@"
-  cmake --build "$FSAN_DIR" -j --target recovery_test chaos_test failover_test
+  cmake --build "$FSAN_DIR" -j --target recovery_test chaos_test \
+    failover_test net_test integration_test common_test
   "$FSAN_DIR/tests/recovery_test"
   "$FSAN_DIR/tests/chaos_test"
   "$FSAN_DIR/tests/failover_test"
+  "$FSAN_DIR/tests/net_test"
+  "$FSAN_DIR/tests/integration_test"
+  "$FSAN_DIR/tests/common_test"
   if [[ "$FSAN" == "thread" ]]; then
     # The refcounted fan-out hands one buffer to concurrent receiver threads
-    # (InProc) and to the TCP IO thread via scatter-gather; net_test under
-    # TSan guards the shared-frame lifetime and ordering. obs_test under
-    # TSan guards the registry's relaxed-atomic counters and the tracer's
+    # (InProc) and to the TCP node's loop via scatter-gather; net_test (run
+    # just above) guards the shared-frame lifetime and ordering. obs_test
+    # under TSan guards the registry's relaxed-atomic counters and the tracer's
     # mutexed append (its multithreaded hammer tests). core_mt_test under
     # TSan guards the lock-free control-plane pipeline (SPSC rings, CAS-max
     # ack cells, epoch-snapshot frontier reads) under genuinely concurrent
@@ -212,10 +232,8 @@ for FSAN in address thread undefined; do
     # (ShardedChaos.*: per-shard failover domains + per-shard pipelined-vs-
     # locked digest equality, DESIGN.md §9) already ran as part of
     # chaos_test just above.
-    echo "==> $FSAN sanitizer: net_test (shared fan-out) + obs_test" \
-         "+ core_mt_test (pipeline)"
-    cmake --build "$FSAN_DIR" -j --target net_test obs_test core_mt_test
-    "$FSAN_DIR/tests/net_test"
+    echo "==> $FSAN sanitizer: obs_test + core_mt_test (pipeline)"
+    cmake --build "$FSAN_DIR" -j --target obs_test core_mt_test
     "$FSAN_DIR/tests/obs_test"
     "$FSAN_DIR/tests/core_mt_test"
   fi

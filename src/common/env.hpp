@@ -4,8 +4,10 @@
 // "Internally, Stabilizer is single-threaded"). Every module that needs the
 // current time or a timer goes through Env, so identical code runs on:
 //   * SimEnv        — virtual time, deterministic (src/sim), used by benches
-//   * RealtimeEnv   — wall-clock timers on a dedicated thread, used by the
-//                     in-process and TCP transports.
+//   * RealtimeEnv   — wall-clock epoll loop on one thread per node, used by
+//                     the in-process and TCP transports. On TCP the same
+//                     thread also owns the node's sockets and dispatches
+//                     received frames, so a TCP node is one thread.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,8 @@
 // bounded SPSC ring indexed by source node. One ring per source is sound
 // because the transport contract already serializes each (src -> dst)
 // stream: all of src's frames reach us from one thread at a time (TCP: the
-// IO thread; InProc direct dispatch: under src's own API lock; sim: the
-// simulator thread), and that external serialization provides the
+// node's loop thread; InProc direct dispatch: under src's own API lock;
+// sim: the simulator thread), and that external serialization provides the
 // producer-side ordering the SPSC ring needs.
 //
 // Ring exhaustion must not block a producer that holds its own node's lock

@@ -5,7 +5,9 @@
 // timers. Three implementations:
 //   * SimTransport    — on SimNetwork, deterministic virtual time
 //   * InProcTransport — threads + queues in one process, real time
-//   * TcpTransport    — epoll sockets, real time (multi-process capable)
+//   * TcpTransport    — epoll sockets, real time (multi-process capable);
+//                       sockets, timers and Stabilizer work share the node's
+//                       one RealtimeEnv thread
 //
 // FIFO per (src,dst) pair is the transport contract the paper's data plane
 // relies on ("a basic reliability mechanism that ensures lossless FIFO
@@ -45,10 +47,11 @@ class Transport {
   /// [0, cluster_size)). Constant; callable from any thread.
   virtual size_t cluster_size() const = 0;
 
-  /// Install (or, with nullptr, remove) the frame sink. Not thread-safe
-  /// against concurrent delivery: call before traffic starts, or from the
-  /// Env thread itself (a destructing Stabilizer unhooks this way so no
-  /// callback can land in freed state). At most one handler is active.
+  /// Install (or, with nullptr, remove) the frame sink. At most one handler
+  /// is active. InProc and Tcp gate delivery, so once this returns the old
+  /// handler is never called again, even with traffic in flight (a
+  /// destructing Stabilizer relies on this); never call it from inside the
+  /// handler. SimTransport is single-threaded by construction.
   virtual void set_receive_handler(ReceiveHandler handler) = 0;
 
   /// Queue a frame to `dst`. Never blocks; safe from any thread (real
@@ -83,12 +86,13 @@ class Transport {
   virtual bool single_threaded() const { return false; }
 
   /// Ask the transport to invoke the ReceiveHandler directly on the thread
-  /// that produced the frame (Tcp: the epoll IO thread; InProc: the sender's
-  /// thread for zero-latency links) instead of bouncing through an Env task.
-  /// Only safe when the installed handler is lock-free re-entrant — the
-  /// pipelined Stabilizer's ingest path is; the legacy locked path is NOT
-  /// (the handler takes the same mutex user threads hold while calling
-  /// send(), which re-enters the transport). Default: ignored.
+  /// that produced the frame (InProc: the sender's thread for zero-latency
+  /// links) instead of bouncing through an Env task. Only safe when the
+  /// installed handler is lock-free re-entrant — the pipelined Stabilizer's
+  /// ingest path is; the legacy locked path is NOT (the handler takes the
+  /// same mutex user threads hold while calling send(), which re-enters the
+  /// transport). Default: ignored. Tcp has nothing to skip: its frames
+  /// already arrive on the Env thread.
   virtual void set_direct_dispatch(bool) {}
 };
 

@@ -1,9 +1,16 @@
 // Unit tests for src/common: codec, result, rng, time helpers, stats,
 // realtime env.
 #include <gtest/gtest.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <future>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/realtime_env.hpp"
@@ -202,6 +209,163 @@ TEST(RealtimeEnv, PostRunsSoon) {
   for (int i = 0; i < 200 && !ran; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_TRUE(ran.load());
+}
+
+// Waits up to 5 s for `done`; true if it became true.
+bool eventually(const std::atomic<bool>& done) {
+  for (int i = 0; i < 5000 && !done; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return done.load();
+}
+
+void signal_fd(int fd) {
+  uint64_t one = 1;
+  ASSERT_EQ(write(fd, &one, sizeof one), static_cast<ssize_t>(sizeof one));
+}
+
+TEST(RealtimeEnv, FdCallbacksTimersAndPostsShareOneThread) {
+  int efd = eventfd(0, EFD_NONBLOCK);
+  ASSERT_GE(efd, 0);
+  std::mutex m;
+  std::vector<std::thread::id> seen;
+  std::atomic<bool> fd_ran{false}, timer_ran{false}, post_ran{false};
+  auto record = [&] {
+    std::lock_guard<std::mutex> l(m);
+    seen.push_back(std::this_thread::get_id());
+  };
+  {
+    RealtimeEnv env;
+    env.run_sync([&] {
+      env.add_fd(efd, EPOLLIN, [&](uint32_t events) {
+        EXPECT_TRUE(events & EPOLLIN);
+        uint64_t v;
+        ASSERT_EQ(read(efd, &v, sizeof v), static_cast<ssize_t>(sizeof v));
+        record();
+        fd_ran = true;
+      });
+    });
+    env.schedule_after(millis(2), [&] {
+      record();
+      timer_ran = true;
+    });
+    env.post([&] {
+      record();
+      post_ran = true;
+    });
+    signal_fd(efd);
+    ASSERT_TRUE(eventually(fd_ran));
+    ASSERT_TRUE(eventually(timer_ran));
+    ASSERT_TRUE(eventually(post_ran));
+    env.run_sync([&] { env.remove_fd(efd); });
+  }
+  close(efd);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_NE(seen[0], std::this_thread::get_id());
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[1], seen[2]);
+}
+
+TEST(RealtimeEnv, PostFromAnotherThreadWakesParkedLoop) {
+  RealtimeEnv env;
+  // Parked with nothing to do, then parked until a timer 30 s out: either
+  // way only the wake eventfd can get the post run in time.
+  for (Duration far : {Duration::zero(), seconds(30)}) {
+    if (far > Duration::zero()) env.schedule_after(far, [] {});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+    std::atomic<bool> ran{false};
+    auto start = std::chrono::steady_clock::now();
+    std::thread poster([&] { env.post([&] { ran = true; }); });
+    poster.join();
+    ASSERT_TRUE(eventually(ran));
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  }
+}
+
+TEST(RealtimeEnv, SelfRepostingTaskDoesNotStarveReadableFd) {
+  int efd = eventfd(0, EFD_NONBLOCK);
+  ASSERT_GE(efd, 0);
+  std::atomic<bool> fd_ran{false};
+  std::atomic<uint64_t> spins{0};
+  {
+    RealtimeEnv env;
+    env.run_sync([&] {
+      env.add_fd(efd, EPOLLIN, [&](uint32_t) {
+        uint64_t v;
+        (void)!read(efd, &v, sizeof v);
+        fd_ran = true;
+      });
+    });
+    // Keeps the task queue non-empty until the fd's callback has run (or a
+    // generous cap, so a starving loop fails rather than hangs).
+    std::function<void()> spin = [&] {
+      if (!fd_ran && spins.fetch_add(1) < 50'000'000) env.post(spin);
+    };
+    env.post(spin);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    signal_fd(efd);
+    EXPECT_TRUE(eventually(fd_ran));
+    env.run_sync([&] { env.remove_fd(efd); });
+  }
+  close(efd);
+  EXPECT_LT(spins.load(), 50'000'000u);
+}
+
+TEST(RealtimeEnv, SubMillisecondTimersAreNotRoundedToMilliseconds) {
+  RealtimeEnv env;
+  std::vector<int64_t> elapsed_us;
+  for (int i = 0; i < 21; ++i) {
+    std::promise<void> fired;
+    auto start = std::chrono::steady_clock::now();
+    env.schedule_after(micros(200), [&] { fired.set_value(); });
+    fired.get_future().wait();
+    elapsed_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+  }
+  std::sort(elapsed_us.begin(), elapsed_us.end());
+  EXPECT_GE(elapsed_us.front(), 200);  // never early
+  // A loop that parked in whole milliseconds would take at least 1 ms.
+  EXPECT_LT(elapsed_us[elapsed_us.size() / 2], 900);
+}
+
+TEST(RealtimeEnv, TaskCancelsATimerDueInTheSamePass) {
+  std::atomic<int> fired{0};
+  std::atomic<TimerId> second{kInvalidTimer};
+  RealtimeEnv env;
+  // Both are queued on the loop thread before either can run.
+  env.run_sync([&] {
+    env.schedule_after(millis(5), [&] {
+      env.cancel(second.load());
+      ++fired;
+    });
+    second = env.schedule_after(millis(5), [&] { fired += 100; });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(fired.load(), 1);
+}
+
+TEST(RealtimeEnv, FdRemovedByAnEarlierCallbackIsNotCalled) {
+  int a = eventfd(1, EFD_NONBLOCK), b = eventfd(1, EFD_NONBLOCK);
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  std::atomic<int> calls{0};
+  {
+    RealtimeEnv env;
+    // Both fds are readable when registered, so both events arrive in one
+    // poll; whichever callback runs first removes both fds (itself too).
+    env.run_sync([&] {
+      for (int fd : {a, b})
+        env.add_fd(fd, EPOLLIN, [&](uint32_t) {
+          ++calls;
+          env.remove_fd(a);
+          env.remove_fd(b);
+        });
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  close(a);
+  close(b);
+  EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(SpscRing, CapacityRoundsUpAndSingleThreadFifo) {

@@ -15,10 +15,6 @@
 namespace stab {
 namespace {
 
-uint16_t base_port() {
-  return static_cast<uint16_t>(24000 + (::getpid() % 900) * 16);
-}
-
 TEST(TcpIntegration, FullStackOverRealSockets) {
   Topology topo;
   topo.add_node("a", "east");
@@ -29,7 +25,7 @@ TEST(TcpIntegration, FullStackOverRealSockets) {
     for (NodeId y = 0; y < 3; ++y)
       if (x != y) topo.set_link(x, y, l);
 
-  auto addrs = loopback_addrs(3, base_port());
+  auto addrs = free_loopback_addrs(3);
   std::vector<std::unique_ptr<TcpTransport>> transports;
   for (NodeId n = 0; n < 3; ++n)
     transports.push_back(std::make_unique<TcpTransport>(n, addrs));
@@ -67,7 +63,7 @@ TEST(TcpIntegration, FullStackOverRealSockets) {
 TEST(TcpIntegration, NodeRestartHealsAndResumes) {
   // Kill one TCP node mid-run; peers buffer frames for it; a new transport
   // on the same port rejoins and the buffered frames flow.
-  auto addrs = loopback_addrs(2, static_cast<uint16_t>(base_port() + 8));
+  auto addrs = free_loopback_addrs(2);
   TcpTransport alpha(0, addrs);
   std::vector<std::string> got;
   std::mutex m;

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <filesystem>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -202,14 +205,8 @@ TEST(InProc, SharedFanOutDeliversSameBuffer) {
 
 // --- TcpTransport -----------------------------------------------------------
 
-uint16_t pick_base_port() {
-  // Different per-process-ish base to dodge TIME_WAIT collisions between
-  // test invocations.
-  return static_cast<uint16_t>(20000 + (::getpid() % 500) * 64);
-}
-
 TEST(Tcp, ConnectsAndDelivers) {
-  auto addrs = loopback_addrs(2, pick_base_port());
+  auto addrs = free_loopback_addrs(2);
   TcpTransport a(0, addrs), b(1, addrs);
   ASSERT_TRUE(a.wait_connected(seconds(5)));
   ASSERT_TRUE(b.wait_connected(seconds(5)));
@@ -227,7 +224,7 @@ TEST(Tcp, ConnectsAndDelivers) {
 }
 
 TEST(Tcp, BidirectionalAndFifo) {
-  auto addrs = loopback_addrs(3, static_cast<uint16_t>(pick_base_port() + 8));
+  auto addrs = free_loopback_addrs(3);
   TcpTransport a(0, addrs), b(1, addrs), c(2, addrs);
   ASSERT_TRUE(a.wait_connected(seconds(5)));
   ASSERT_TRUE(b.wait_connected(seconds(5)));
@@ -268,7 +265,7 @@ TEST(Tcp, BidirectionalAndFifo) {
 }
 
 TEST(Tcp, BuffersWhilePeerDown) {
-  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 16));
+  auto addrs = free_loopback_addrs(2);
   TcpTransport a(0, addrs);
   // Peer 1 is not up yet; frames must be buffered, not lost.
   a.send(1, to_bytes("early-1"));
@@ -295,7 +292,7 @@ TEST(Tcp, BuffersWhilePeerDown) {
 }
 
 TEST(Tcp, ReconnectBackoffGrowsCapsAndResetsOnConnect) {
-  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 32));
+  auto addrs = free_loopback_addrs(2);
   TcpTransportOptions opts;
   opts.reconnect_initial = millis(5);
   opts.reconnect_max = millis(40);
@@ -319,7 +316,7 @@ TEST(Tcp, ReconnectBackoffGrowsCapsAndResetsOnConnect) {
 }
 
 TEST(Tcp, PendingBufferBoundDropsOldestFirst) {
-  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 40));
+  auto addrs = free_loopback_addrs(2);
   TcpTransportOptions opts;
   opts.max_pending_bytes = 4096;
   TcpTransport a(0, addrs, opts);
@@ -359,7 +356,7 @@ TEST(Tcp, PendingBufferBoundDropsOldestFirst) {
 }
 
 TEST(Tcp, LargeFrame) {
-  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 24));
+  auto addrs = free_loopback_addrs(2);
   TcpTransport a(0, addrs), b(1, addrs);
   ASSERT_TRUE(a.wait_connected(seconds(5)));
 
@@ -377,7 +374,7 @@ TEST(Tcp, LargeFrame) {
 }
 
 TEST(Tcp, SendSharedScatterGathersPrefixAndBody) {
-  auto addrs = loopback_addrs(2, static_cast<uint16_t>(pick_base_port() + 48));
+  auto addrs = free_loopback_addrs(2);
   TcpTransport a(0, addrs), b(1, addrs);
   ASSERT_TRUE(a.wait_connected(seconds(5)));
 
@@ -409,6 +406,177 @@ TEST(Tcp, SendSharedScatterGathersPrefixAndBody) {
   EXPECT_EQ(got[0], "shared body");
   EXPECT_EQ(got[1], "copied");
   EXPECT_EQ(got[2], "shared body");
+}
+
+size_t thread_count() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(Tcp, ReceiveHandlerRunsOnTheEnvThreadAndANodeIsOneThread) {
+  auto addrs = free_loopback_addrs(2);
+  const size_t before = thread_count();
+  TcpTransport a(0, addrs), b(1, addrs);
+  EXPECT_EQ(thread_count(), before + 2);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+
+  std::promise<std::thread::id> env_thread;
+  b.env().post([&] { env_thread.set_value(std::this_thread::get_id()); });
+  const std::thread::id env_id = env_thread.get_future().get();
+  std::atomic<bool> got{false};
+  std::thread::id handler_id;
+  b.set_receive_handler([&](NodeId, BytesView, uint64_t) {
+    handler_id = std::this_thread::get_id();
+    got = true;
+  });
+  a.send(1, to_bytes("which thread"));
+  for (int i = 0; i < 5000 && !got; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(got.load());
+  EXPECT_EQ(handler_id, env_id);
+  EXPECT_NE(handler_id, std::this_thread::get_id());
+}
+
+TEST(Tcp, UnhookedHandlerIsNeverCalledAgain) {
+  auto addrs = free_loopback_addrs(2);
+  TcpTransport a(0, addrs), b(1, addrs);
+  ASSERT_TRUE(a.wait_connected(seconds(5)));
+
+  // The handler's owner is freed right after the unhook while traffic keeps
+  // flowing, as when a Stabilizer is destroyed and its peers keep sending.
+  struct Owner {
+    std::atomic<uint64_t> frames{0};
+  };
+  auto owner = std::make_unique<Owner>();
+  std::atomic<bool> unhooked{false};
+  std::atomic<uint64_t> late{0};
+  b.set_receive_handler(
+      [&unhooked, &late, o = owner.get()](NodeId, BytesView, uint64_t) {
+        if (unhooked.load()) late.fetch_add(1);
+        o->frames.fetch_add(1);
+        // Slow enough that arriving frames queue up behind the handler.
+        auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      });
+  std::atomic<bool> stop{false};
+  std::thread sender([&] {
+    while (!stop) {
+      for (int i = 0; i < 64; ++i) a.send(1, to_bytes("flood"));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (int i = 0; i < 5000 && owner->frames.load() < 2000; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GE(owner->frames.load(), 2000u);
+  b.set_receive_handler(nullptr);
+  unhooked = true;
+  owner.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  stop = true;
+  sender.join();
+  EXPECT_EQ(late.load(), 0u);
+}
+
+// A raw client speaking the transport's framing, host byte order:
+// u32 body_len | u32 kind (1 HELLO, 2 data) | u32 src | body.
+Bytes raw_frame(uint32_t body_len, uint32_t kind, uint32_t src,
+                const std::string& body = "") {
+  Writer w;
+  w.u32(body_len);
+  w.u32(kind);
+  w.u32(src);
+  w.raw(body.data(), body.size());
+  return std::move(w).take();
+}
+
+Bytes cat(Bytes a, const Bytes& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+int raw_connect(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// True once the other end closes the socket (EOF or reset) within 5 s.
+bool closed_by_peer(int fd) {
+  timeval tv{5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  char buf[64];
+  for (;;) {
+    ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n == 0) return true;
+    if (n < 0) return errno == ECONNRESET;
+  }
+}
+
+TEST(Tcp, HostileFramesCloseOnlyTheirConnection) {
+  // Node 2 is under attack. Node 1 is a real peer; a raw socket plays node
+  // 0, which node 2 accepts because the smaller id dials.
+  auto addrs = free_loopback_addrs(3);
+  TcpTransport victim(2, addrs), good(1, addrs);
+  std::mutex m;
+  std::vector<std::string> got;
+  victim.set_receive_handler([&](NodeId src, BytesView frame, uint64_t) {
+    std::lock_guard<std::mutex> l(m);
+    got.push_back(std::to_string(src) + ":" + to_string(frame));
+  });
+  auto received = [&](const std::string& want) {
+    for (int i = 0; i < 5000; ++i) {
+      {
+        std::lock_guard<std::mutex> l(m);
+        if (std::find(got.begin(), got.end(), want) != got.end()) return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  };
+
+  const Bytes hello = raw_frame(8, 1, 0);
+  const struct {
+    const char* what;
+    Bytes wire;
+  } cases[] = {
+      {"length that wraps 32-bit arithmetic",
+       cat(hello, raw_frame(0xFFFFFFFCu, 2, 0, "x"))},
+      {"zero length", cat(hello, Bytes(4, 0))},
+      {"length below the header", cat(hello, raw_frame(4, 2, 0))},
+      {"length above the cap",
+       cat(hello, raw_frame(TcpTransport::kMaxFrameBody + 1, 2, 0, "x"))},
+      {"src differs from HELLO", cat(hello, raw_frame(8 + 5, 2, 1, "spoof"))},
+      {"HELLO with the victim's own id", raw_frame(8, 1, 2)},
+      {"HELLO with a bad length", raw_frame(0, 1, 0)},
+  };
+  int i = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    int fd = raw_connect(addrs[2].port);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, c.wire.data(), c.wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(c.wire.size()));
+    EXPECT_TRUE(closed_by_peer(fd));
+    ::close(fd);
+    // The transport survived and still delivers from the real peer.
+    const std::string msg = "alive-" + std::to_string(i++);
+    good.send(2, to_bytes(msg));
+    EXPECT_TRUE(received("1:" + msg));
+  }
+  std::lock_guard<std::mutex> l(m);
+  for (const std::string& g : got) EXPECT_EQ(g.rfind("0:", 0), std::string::npos) << g;
 }
 
 #if STAB_OBS_ENABLED
