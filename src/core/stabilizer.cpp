@@ -21,7 +21,6 @@ Stabilizer::Counters::Counters(obs::MetricsRegistry& r)
       data_encodes(r.counter("data.encodes")),
       shared_sends(r.counter("data.shared_sends")),
       frames_coalesced(r.counter("data.frames_coalesced")),
-      fanout_bytes_copied(r.counter("data.fanout_bytes_copied")),
       ack_batches_sent(r.counter("control.ack_batches_sent")),
       ack_bytes_sent(r.counter("control.ack_bytes_sent")),
       ack_entries_applied(r.counter("control.ack_entries_applied")),
@@ -68,10 +67,6 @@ void Stabilizer::Counters::flush_pending() {
     frames_coalesced.inc(pending_frames_coalesced);
     pending_frames_coalesced = 0;
   }
-  if (pending_fanout_bytes_copied) {
-    fanout_bytes_copied.inc(pending_fanout_bytes_copied);
-    pending_fanout_bytes_copied = 0;
-  }
 }
 #endif
 
@@ -80,7 +75,6 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
       transport_(transport),
       rx_(options_.topology.num_nodes()),
       excluded_(options_.topology.num_nodes(), false),
-      peer_acked_at_last_probe_(options_.topology.num_nodes(), kNoSeq),
       dirty_(options_.topology.num_nodes()),
       reported_(options_.topology.num_nodes()) {
   const size_t n = options_.topology.num_nodes();
@@ -125,23 +119,9 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
     drain_gate_ = std::make_shared<DrainGate>();
     drain_gate_->owner = this;
     inline_drain_ = transport_.single_threaded();
-    transport_.set_receive_handler(
-        [this](NodeId src, BytesView frame, uint64_t wire_size) {
-          ingest_frame(src, frame, wire_size);
-        });
-    // The ingest path is lock-free, so the transport may call it straight
-    // from its receive thread instead of bouncing through an Env task.
-    if (!inline_drain_) transport_.set_direct_dispatch(true);
-  } else {
-    transport_.set_direct_dispatch(false);  // locked handler: never direct
-    transport_.set_receive_handler(
-        [this](NodeId src, BytesView frame, uint64_t wire_size) {
-          on_frame(src, frame, wire_size);
-        });
   }
   stall_last_acked_.assign(n, kNoSeq);
   stalled_.assign(n, false);
-  next_to_send_.assign(n, 0);
   peer_epoch_.assign(n, 0);
   resume_pending_.assign(n, false);
   stream_epoch_.assign(n, 0);
@@ -168,6 +148,24 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
   if (options_.retransmit_timeout > Duration::zero())
     schedule_retransmit_timer();
   if (options_.peer_stall_timeout > Duration::zero()) schedule_stall_timer();
+
+  // Last: a transport may call the handler before set_receive_handler
+  // returns, and the handler touches everything above.
+  if (pipeline_) {
+    transport_.set_receive_handler(
+        [this](NodeId src, BytesView frame, uint64_t wire_size) {
+          ingest_frame(src, frame, wire_size);
+        });
+    // The ingest path is lock-free, so the transport may call it straight
+    // from its receive thread instead of bouncing through an Env task.
+    if (!inline_drain_) transport_.set_direct_dispatch(true);
+  } else {
+    transport_.set_direct_dispatch(false);  // locked handler: never direct
+    transport_.set_receive_handler(
+        [this](NodeId src, BytesView frame, uint64_t wire_size) {
+          on_frame(src, frame, wire_size);
+        });
+  }
 }
 
 Stabilizer::~Stabilizer() {
@@ -206,20 +204,33 @@ SeqNum Stabilizer::send(BytesView payload, uint64_t virtual_size) {
   // Deposed primaries must not extend the old sequence space: another node
   // now owns it and would issue the same numbers with different content.
   if (self_fenced_) return kFencedSeq;
-  SeqNum seq = sequencer_.next();
-  out_.push(seq, Bytes(payload.begin(), payload.end()), virtual_size);
+  return send_on(own_, payload, virtual_size);
+}
+
+SeqNum Stabilizer::send_as(NodeId origin, BytesView payload,
+                           uint64_t virtual_size) {
+  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  auto it = adopted_.find(origin);
+  if (it == adopted_.end()) return kFencedSeq;
+  return send_on(it->second, payload, virtual_size);
+}
+
+SeqNum Stabilizer::send_on(OutStream& stream, BytesView payload,
+                           uint64_t virtual_size) {
+  const NodeId origin = stream.origin();
+  SeqNum seq = stream.push(payload, virtual_size);
   STAB_OBS(++ctr_.pending_messages_sent);
   STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kBroadcast, options_.self,
-             options_.self, seq);
+             origin, seq);
   // Gate on sampled() first so 15-in-16 sends skip the clock read too.
   if (STAB_PROBE_SAMPLED(probe_, seq))
-    STAB_PROBE(probe_, on_send(options_.self, seq, env().now()));
+    STAB_PROBE(probe_, on_send(origin, seq, env().now()));
 
-  if (coalescing_enabled())
+  if (options_.coalesce_max_frames > 1)
     arm_flush();  // batch with the rest of this event-loop turn's sends
   else
-    pump_windows();
-  apply_origin_rule_for_send(seq);
+    stream.pump();
+  apply_origin_rule(origin, seq);
   maybe_reclaim();  // single-node clusters reclaim immediately
   return seq;
 }
@@ -270,144 +281,25 @@ void Stabilizer::arm_flush() {
     std::lock_guard<std::recursive_mutex> lock(mutex_);
     flush_armed_ = false;
     flush_timer_ = kInvalidTimer;
-    if (!stopped_) pump_windows();
+    if (!stopped_) pump_all();
   });
 }
 
-void Stabilizer::pump_windows() {
-  const AckTable& acks = engines_[options_.self]->acks();
-  const SeqNum last = sequencer_.last_assigned();
-  for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || excluded_[peer]) continue;
-    SeqNum& cursor = next_to_send_[peer];
-    if (cursor < out_.base()) cursor = out_.base();  // after recovery
-    // Window allowance: at most send_window beyond the peer's receive ack
-    // (resumes when this peer's acks advance).
-    SeqNum limit = last;
-    if (options_.send_window > 0) {
-      SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-      limit = std::min(limit,
-                       acked + static_cast<SeqNum>(options_.send_window));
-    }
-    while (cursor <= limit) {
-      const auto* slot = out_.get(cursor);
-      if (!slot) {
-        ++cursor;
-        continue;
-      }
-      if (coalescing_enabled() && coalescable(*slot)) {
-        // Greedily gather the run of consecutive small slots that fits the
-        // batch bounds.
-        SeqNum first = cursor;
-        size_t count = 0;
-        size_t bytes = 0;
-        while (cursor <= limit && count < options_.coalesce_max_frames) {
-          const auto* s = out_.get(cursor);
-          if (!s || !coalescable(*s)) break;
-          size_t cost = 12 + s->payload.size() + s->virtual_size;
-          if (count > 0 && bytes + cost > options_.coalesce_max_bytes) break;
-          bytes += cost;
-          ++count;
-          ++cursor;
-        }
-        if (count >= 2)
-          transmit_batch(peer, first, count);
-        else
-          transmit(peer, *out_.get(first));
-        continue;
-      }
-      transmit(peer, *slot);
-      ++cursor;
-    }
-  }
-  STAB_OBS(ctr_.flush_pending());
+void Stabilizer::pump_all() {
+  for (auto& [origin, stream] : adopted_) stream.pump();
+  own_.pump();
 }
 
-void Stabilizer::transmit(NodeId dst, const data::OutBuffer::Slot& slot) {
-  if (options_.data_path == StabilizerOptions::DataPath::kShared) {
-    // Encode-once: the first transmission of this message (to any peer, or
-    // as a retransmit) fills the slot's frame cache; everything after reuses
-    // the refcounted buffer.
-    if (!slot.encoded) {
-      slot.encoded = std::make_shared<const Bytes>(
-          data::encode_data(options_.self, slot.seq, slot.payload,
-                            slot.virtual_size, stream_epoch_[options_.self]));
-      STAB_OBS(++ctr_.pending_data_encodes);
-    }
-    uint64_t wire = slot.encoded->size() + slot.virtual_size;
-    transport_.send_shared(dst, slot.encoded, wire);
-    STAB_OBS(++ctr_.pending_shared_sends);
-  } else {
-    Bytes encoded =
-        data::encode_data(options_.self, slot.seq, slot.payload,
-                          slot.virtual_size, stream_epoch_[options_.self]);
-    STAB_OBS({
-      ++ctr_.pending_data_encodes;
-      ctr_.pending_fanout_bytes_copied += encoded.size();
-    });
-    uint64_t wire = encoded.size() + slot.virtual_size;
-    transport_.send(dst, std::move(encoded), wire);
-  }
-  STAB_OBS(++ctr_.pending_frames_transmitted);
-  STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kTransmit, options_.self,
-             options_.self, slot.seq, dst);
-}
-
-bool Stabilizer::coalescable(const data::OutBuffer::Slot& slot) const {
-  return 12 + slot.payload.size() + slot.virtual_size <=
-         options_.coalesce_max_bytes;
-}
-
-void Stabilizer::transmit_batch(NodeId dst, SeqNum first, size_t count) {
-  if (!(batch_first_ == first && batch_count_ == count && batch_frame_)) {
-    data::DataBatchFrame batch;
-    batch.origin = options_.self;
-    batch.primary_epoch = stream_epoch_[options_.self];
-    batch.first_seq = first;
-    batch.entries.reserve(count);
-    uint64_t virtual_total = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const auto* slot = out_.get(first + static_cast<SeqNum>(i));
-      batch.entries.push_back(
-          data::DataBatchFrame::Entry{BytesView(slot->payload),
-                                      slot->virtual_size});
-      virtual_total += slot->virtual_size;
-    }
-    batch_frame_ = std::make_shared<const Bytes>(data::encode(batch));
-    batch_first_ = first;
-    batch_count_ = count;
-    batch_wire_ = batch_frame_->size() + virtual_total;
-    STAB_OBS({
-      ++ctr_.pending_data_encodes;
-      ctr_.batch_frames.record(count);
-    });
-  }
-  transport_.send_shared(dst, batch_frame_, batch_wire_);
-  STAB_OBS({
-    ++ctr_.pending_shared_sends;
-    ctr_.pending_frames_transmitted += count;
-    ctr_.pending_frames_coalesced += count;
-  });
-#if STAB_OBS_ENABLED
-  if (STAB_TRACE_WANTS(tracer_, obs::SpanEvent::kTransmit)) {
-    TimePoint now = env().now();
-    for (size_t i = 0; i < count; ++i)
-      tracer_->record(now, obs::SpanEvent::kTransmit, options_.self,
-                      options_.self, first + static_cast<SeqNum>(i), dst);
-  }
-#endif
-}
-
-void Stabilizer::apply_origin_rule_for_send(SeqNum seq) {
+void Stabilizer::apply_origin_rule(NodeId origin, SeqNum seq) {
   // §III-C: "all stability properties hold for the WAN node that originated
-  // a message" — advance every type's self cell on the self stream, as one
-  // batch so predicates spanning several types re-evaluate once. The vector
-  // is local because callbacks fired by the batch may re-enter send().
+  // a message" — advance every type's self cell, as one batch so predicates
+  // spanning several types re-evaluate once. The vector is local because
+  // callbacks fired by the batch may re-enter send().
   std::vector<AckUpdate> updates;
   updates.reserve(types_.count());
   for (StabilityTypeId t = 0; t < types_.count(); ++t)
     updates.push_back(AckUpdate{t, options_.self, seq, {}});
-  engines_[options_.self]->on_ack_batch(updates);
+  engines_[origin]->on_ack_batch(updates);
 }
 
 // --- receive path ----------------------------------------------------------------
@@ -613,7 +505,7 @@ void Stabilizer::drain_pipeline() {
       // handle_ack_batch does this for ring-routed ack frames; cell-routed
       // acks need the same follow-up (acks free window space and may let
       // the send buffer reclaim).
-      if (options_.send_window > 0) pump_windows();
+      if (options_.send_window > 0) pump_all();
       maybe_reclaim();
     }
     pipeline_->record_drain(cells + frames);
@@ -705,7 +597,7 @@ void Stabilizer::handle_ack_batch(const data::AckBatchFrame& frame) {
   // AckUpdates view the frame's extra bytes — valid for the duration of
   // on_ack_batch, which routes each extra to the entries it affects.
   // Buckets are local because monitors fired by the batch may re-enter
-  // (send -> apply_origin_rule_for_send runs a nested batch).
+  // (send -> apply_origin_rule runs a nested batch).
   std::vector<std::vector<AckUpdate>> per_origin(engines_.size());
   uint64_t applied = 0;
   for (const data::AckEntry& e : frame.entries) {
@@ -719,7 +611,7 @@ void Stabilizer::handle_ack_batch(const data::AckBatchFrame& frame) {
   for (NodeId origin = 0; origin < per_origin.size(); ++origin)
     if (!per_origin[origin].empty())
       engines_[origin]->on_ack_batch(per_origin[origin]);
-  if (options_.send_window > 0) pump_windows();  // acks free window space
+  if (options_.send_window > 0) pump_all();  // acks free window space
   maybe_reclaim();
 }
 
@@ -765,7 +657,7 @@ void Stabilizer::handle_report_batch(NodeId src,
     if (!per_origin[origin].empty())
       engines_[origin]->on_ack_batch(per_origin[origin]);
   if (absorbed_any) schedule_deferred_timer();
-  if (options_.send_window > 0) pump_windows();  // reports free window space
+  if (options_.send_window > 0) pump_all();  // reports free window space
   maybe_reclaim();
 }
 
@@ -799,13 +691,10 @@ void Stabilizer::handle_resume(NodeId src, const data::ResumeFrame& frame) {
   if (frame.epoch > peer_epoch_[src]) {
     peer_epoch_[src] = frame.epoch;
 
-    // Rewind go-back-N to the reborn peer's persisted delivery cursor;
-    // frames it lost with its volatile state retransmit from the send
-    // buffer.
-    SeqNum resume_from =
-        std::max<SeqNum>(frame.receive_through + 1, out_.base());
-    if (next_to_send_[src] > resume_from) next_to_send_[src] = resume_from;
-    peer_acked_at_last_probe_[src] = kNoSeq;
+    // Rewind our own stream's go-back-N to the reborn peer's persisted
+    // delivery cursor; frames it lost with its volatile state retransmit
+    // from the send buffer. (Adopted streams heal through the probe.)
+    own_.rewind(src, frame.receive_through + 1);
 
     // Re-issue every cumulative stability report so the peer rebuilds its
     // ack tables immediately instead of waiting for the heartbeat.
@@ -821,7 +710,7 @@ void Stabilizer::handle_resume(NodeId src, const data::ResumeFrame& frame) {
   // re-sending until a reply gets through); never answer replies, so a
   // concurrent restart of both ends converges instead of ping-ponging.
   if (!frame.reply && !excluded_[src]) send_resume(src, /*reply=*/true);
-  pump_windows();
+  own_.pump();
 }
 
 void Stabilizer::mark_peer_recovered(NodeId peer) {
@@ -833,15 +722,8 @@ void Stabilizer::mark_peer_recovered(NodeId peer) {
 }
 
 void Stabilizer::maybe_reclaim() {
-  for (auto& [origin, adopted] : adopted_) reclaim_adopted(origin, adopted);
-  if (out_.empty()) return;
-  const AckTable& acks = engines_[options_.self]->acks();
-  SeqNum floor = out_.last();
-  for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || excluded_[peer]) continue;
-    floor = std::min(floor, acks.get(StabilityTypeRegistry::kReceived, peer));
-  }
-  if (floor >= out_.base()) out_.reclaim_through(floor);
+  for (auto& [origin, stream] : adopted_) stream.reclaim();
+  own_.reclaim();
 }
 
 // --- control-plane output ---------------------------------------------------------
@@ -926,7 +808,8 @@ void Stabilizer::flush_acks() {
       });
     }
   } else {
-    // Origin-scoped: each origin gets only the reports about its stream.
+    // Origin-scoped: each stream's authority (its origin, or its acting
+    // primary after a failover) gets only the reports about that stream.
     for (NodeId about = 0; about < dirty_.size(); ++about) {
       data::AckBatchFrame batch;
       batch.reporter = options_.self;
@@ -939,7 +822,9 @@ void Stabilizer::flush_acks() {
         d = DirtyAck{};
       }
       if (batch.entries.empty()) continue;
-      if (about == options_.self || excluded_[about]) continue;
+      const NodeId to = stream_primary_[about];
+      if (about == options_.self || to == options_.self || excluded_[to])
+        continue;
       STAB_OBS(ctr_.ack_flush_entries.record(batch.entries.size()));
 #if STAB_OBS_ENABLED
       if (STAB_TRACE_WANTS(tracer_, obs::SpanEvent::kAckReport)) {
@@ -955,7 +840,7 @@ void Stabilizer::flush_acks() {
         ctr_.ack_batches_sent.inc();
         ctr_.ack_bytes_sent.inc(enc.size());
       });
-      transport_.send(about, std::move(enc));
+      transport_.send(to, std::move(enc));
     }
   }
   // The periodic control flush doubles as the fold point for the batched
@@ -1068,11 +953,13 @@ void Stabilizer::flush_deferred() {
       });
     }
   } else {
-    // Origin-scoped: each origin receives only the blocks' entries about
-    // its own stream (mirrors flush-to-aggregator still sends the full
-    // vector above; it is the direct fan-out that scopes).
+    // Origin-scoped: each stream's authority receives only the blocks'
+    // entries about that stream (mirrors flush-to-aggregator still send the
+    // full vector above; it is the direct fan-out that scopes).
     for (NodeId about = 0; about < options_.topology.num_nodes(); ++about) {
-      if (about == options_.self || excluded_[about]) continue;
+      const NodeId to = stream_primary_[about];
+      if (about == options_.self || to == options_.self || excluded_[to])
+        continue;
       data::ReportBatchFrame scoped;
       scoped.forwarder = options_.self;
       for (const data::ReportBlock& b : frame.blocks) {
@@ -1089,7 +976,7 @@ void Stabilizer::flush_deferred() {
         ctr_.report_batches_sent.inc();
         ctr_.report_bytes_sent.inc(enc.size());
       });
-      transport_.send(about, std::move(enc));
+      transport_.send(to, std::move(enc));
     }
   }
   STAB_OBS(ctr_.flush_pending());
@@ -1122,33 +1009,8 @@ void Stabilizer::retransmit_check() {
     if (resume_pending_[peer] && peer != options_.self && !excluded_[peer])
       send_resume(peer);
 
-  retransmit_adopted_check();
-
-  if (out_.empty()) return;
-  const AckTable& acks = engines_[options_.self]->acks();
-  for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || excluded_[peer]) continue;
-    SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-    if (acked >= out_.last()) {
-      peer_acked_at_last_probe_[peer] = acked;
-      continue;
-    }
-    if (acked > peer_acked_at_last_probe_[peer]) {
-      // Progress since the last probe: give the pipe time before resending.
-      peer_acked_at_last_probe_[peer] = acked;
-      continue;
-    }
-    SeqNum from = std::max(acked + 1, out_.base());
-    SeqNum to = std::min<SeqNum>(
-        out_.last(), from + static_cast<SeqNum>(options_.retransmit_window) - 1);
-    for (SeqNum s = from; s <= to; ++s) {
-      if (const auto* slot = out_.get(s)) {
-        transmit(peer, *slot);
-        STAB_OBS(ctr_.retransmits_sent.inc());
-      }
-    }
-    peer_acked_at_last_probe_[peer] = acked;
-  }
+  for (auto& [origin, stream] : adopted_) stream.probe();
+  own_.probe();
   STAB_OBS(ctr_.flush_pending());
 }
 
@@ -1175,7 +1037,7 @@ void Stabilizer::schedule_stall_timer() {
 
 void Stabilizer::stall_check() {
   const AckTable& acks = engines_[options_.self]->acks();
-  SeqNum last = sequencer_.last_assigned();
+  SeqNum last = own_.last_assigned();
   for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
     if (peer == options_.self || excluded_[peer]) continue;
     SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
@@ -1218,15 +1080,16 @@ Bytes Stabilizer::snapshot_control_state() const {
     w.u32(stream_epoch_[i]);
     w.u32(stream_primary_[i]);
   }
-  w.i64(sequencer_.last_assigned());
+  w.i64(own_.last_assigned());
   // Unreclaimed send-buffer slots: messages some peer has not yet
   // acknowledged. Persisting them lets a reborn instance serve the
   // retransmissions that heal peers' gaps (v1 snapshots dropped them,
   // leaving permanent holes at any peer that was behind at crash time).
-  w.i64(out_.base());
-  w.u32(static_cast<uint32_t>(out_.size()));
-  for (size_t i = 0; i < out_.size(); ++i) {
-    const auto* slot = out_.get(out_.base() + static_cast<SeqNum>(i));
+  const data::OutBuffer& out = own_.buffer();
+  w.i64(out.base());
+  w.u32(static_cast<uint32_t>(out.size()));
+  for (size_t i = 0; i < out.size(); ++i) {
+    const auto* slot = out.get(out.base() + static_cast<SeqNum>(i));
     w.blob(slot->payload);
     w.u64(slot->virtual_size);
   }
@@ -1286,7 +1149,8 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
         fence_self();
     }
     SeqNum last_assigned = r.i64();
-    sequencer_.fast_forward(last_assigned);
+    own_.sequencer().fast_forward(last_assigned);
+    data::OutBuffer& out = own_.buffer();
     if (version >= 2) {
       SeqNum snap_base = r.i64();
       uint32_t count = r.u32();
@@ -1294,18 +1158,18 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
       // retransmissions for peers that were behind at crash time. Skipped
       // when restoring a stale snapshot into an instance that has already
       // advanced past it (monotonic-merge semantics: live state wins).
-      bool adopt = out_.empty() && out_.base() <= snap_base;
-      if (adopt) out_.reset_base(snap_base);
+      bool adopt = out.empty() && out.base() <= snap_base;
+      if (adopt) out.reset_base(snap_base);
       for (uint32_t i = 0; i < count; ++i) {
         Bytes payload = r.blob();
         uint64_t virtual_size = r.u64();
         if (adopt)
-          out_.push(snap_base + static_cast<SeqNum>(i), std::move(payload),
-                    virtual_size);
+          out.push(snap_base + static_cast<SeqNum>(i), std::move(payload),
+                   virtual_size);
       }
     } else {
-      out_.reset_base(last_assigned + 1);  // v1 kept no slots: pre-crash
-                                           // messages are unretransmittable
+      out.reset_base(last_assigned + 1);  // v1 kept no slots: pre-crash
+                                          // messages are unretransmittable
     }
 
     uint32_t ntypes = r.u32();
@@ -1338,14 +1202,11 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
     // (max() also covers restoring a stale snapshot into a live instance —
     // the epoch must never regress.)
     session_epoch_ = std::max(session_epoch_ + 1, snap_epoch + 1);
-    const AckTable& acks = engines_[options_.self]->acks();
+    // Start each peer's window past what it acknowledged before the crash;
+    // its RESUME-triggered acks rewind us further if needed.
+    own_.restart_cursors();
     for (NodeId peer = 0; peer < n; ++peer) {
-      if (peer == options_.self) continue;
-      // Start each peer's window past what it acknowledged before the
-      // crash; its RESUME-triggered acks rewind us further if needed.
-      SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-      next_to_send_[peer] = std::max<SeqNum>(out_.base(), acked + 1);
-      if (excluded_[peer]) continue;
+      if (peer == options_.self || excluded_[peer]) continue;
       resume_pending_[peer] = true;
       send_resume(peer);
     }
@@ -1374,10 +1235,7 @@ Status Stabilizer::register_predicate(const std::string& key,
     Status st = engine->register_predicate(key, source);
     if (!st.is_ok()) return st;  // identical context: fails on the first
   }
-  // New types may have been auto-registered; backfill the origin rule for
-  // everything already sent on the local stream.
-  if (sequencer_.last_assigned() >= 0)
-    apply_origin_rule_for_send(sequencer_.last_assigned());
+  backfill_origin_rule();
   return Status::ok();
 }
 
@@ -1388,9 +1246,20 @@ Status Stabilizer::change_predicate(const std::string& key,
     Status st = engine->change_predicate(key, source);
     if (!st.is_ok()) return st;
   }
-  if (sequencer_.last_assigned() >= 0)
-    apply_origin_rule_for_send(sequencer_.last_assigned());
+  backfill_origin_rule();
   return Status::ok();
+}
+
+void Stabilizer::backfill_origin_rule() {
+  // New types may have been auto-registered: backfill the origin rule for
+  // everything already sent on every stream this node sequences. Copied
+  // first: callbacks fired by a batch may re-enter and adopt or drop one.
+  std::vector<std::pair<NodeId, SeqNum>> ends{
+      {options_.self, own_.last_assigned()}};
+  for (auto& [origin, stream] : adopted_)
+    ends.emplace_back(origin, stream.last_assigned());
+  for (auto [origin, last] : ends)
+    if (last >= 0) apply_origin_rule(origin, last);
 }
 
 Status Stabilizer::remove_predicate(const std::string& key) {
@@ -1594,7 +1463,7 @@ bool Stabilizer::is_acting_primary(NodeId origin) const {
 SeqNum Stabilizer::acting_last_sent(NodeId origin) const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   auto it = adopted_.find(origin);
-  return it == adopted_.end() ? kNoSeq : it->second.sequencer.last_assigned();
+  return it == adopted_.end() ? kNoSeq : it->second.last_assigned();
 }
 
 Status Stabilizer::adopt_stream(NodeId origin, SeqNum start_seq,
@@ -1622,43 +1491,13 @@ Status Stabilizer::adopt_stream(NodeId origin, SeqNum start_seq,
   node_fenced_[origin].store(true, std::memory_order_relaxed);
 
   adopted_.erase(origin);
-  AdoptedStream& a = adopted_[origin];
-  a.epoch = epoch;
-  a.sequencer.fast_forward(start_seq - 1);
-  a.out.reset_base(start_seq);
-  a.acked_at_probe.assign(options_.topology.num_nodes(), kNoSeq);
+  adopted_.try_emplace(origin, *this, origin, start_seq);
 
   // Position our delivery cursor at the takeover boundary: the reconciled
   // start may exceed our own delivered prefix (another peer saw more); the
   // gap seqs were never everywhere-stable and are skipped, counted.
   apply_takeover_cursor(origin, start_seq);
   return Status::ok();
-}
-
-SeqNum Stabilizer::send_as(NodeId origin, BytesView payload,
-                           uint64_t virtual_size) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  auto it = adopted_.find(origin);
-  if (it == adopted_.end()) return kFencedSeq;
-  AdoptedStream& a = it->second;
-  SeqNum seq = a.sequencer.next();
-  a.out.push(seq, Bytes(payload.begin(), payload.end()), virtual_size);
-  STAB_OBS(++ctr_.pending_messages_sent);
-  STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kBroadcast, options_.self,
-             origin, seq);
-  if (STAB_PROBE_SAMPLED(probe_, seq))
-    STAB_PROBE(probe_, on_send(origin, seq, env().now()));
-  transmit_adopted(origin, a, *a.out.get(seq));
-  // Origin rule, failover flavor: the sequencing authority (us) has every
-  // property for the messages it sequenced — credited on our cell of the
-  // adopted stream's engine. Peers credit us symmetrically in handle_data.
-  std::vector<AckUpdate> updates;
-  updates.reserve(types_.count());
-  for (StabilityTypeId t = 0; t < types_.count(); ++t)
-    updates.push_back(AckUpdate{t, options_.self, seq, {}});
-  engines_[origin]->on_ack_batch(updates);
-  reclaim_adopted(origin, a);  // single-peer topologies reclaim immediately
-  return seq;
 }
 
 Status Stabilizer::observe_takeover(NodeId origin, NodeId new_primary,
@@ -1751,81 +1590,11 @@ void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
   }
 }
 
-void Stabilizer::transmit_adopted(NodeId origin, AdoptedStream& a,
-                                  const data::OutBuffer::Slot& slot) {
-  // Encode-once, refcounted fan-out — same shape as transmit(), but the
-  // frame's origin field names the adopted stream and carries its epoch, and
-  // the deposed origin node is never a destination.
-  if (!slot.encoded) {
-    slot.encoded = std::make_shared<const Bytes>(data::encode_data(
-        origin, slot.seq, slot.payload, slot.virtual_size, a.epoch));
-    STAB_OBS(++ctr_.pending_data_encodes);
-  }
-  uint64_t wire = slot.encoded->size() + slot.virtual_size;
-  for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || peer == origin || excluded_[peer]) continue;
-    transport_.send_shared(peer, slot.encoded, wire);
-    STAB_OBS({
-      ++ctr_.pending_shared_sends;
-      ++ctr_.pending_frames_transmitted;
-    });
-    STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kTransmit, options_.self,
-               origin, slot.seq, peer);
-  }
-}
-
-void Stabilizer::retransmit_adopted_check() {
-  for (auto& [origin, a] : adopted_) {
-    if (a.out.empty()) continue;
-    const AckTable& acks = engines_[origin]->acks();
-    for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-      if (peer == options_.self || peer == origin || excluded_[peer]) continue;
-      SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-      if (acked >= a.out.last() || acked > a.acked_at_probe[peer]) {
-        a.acked_at_probe[peer] = acked;  // caught up / progressing: no probe
-        continue;
-      }
-      SeqNum from = std::max(acked + 1, a.out.base());
-      SeqNum to = std::min<SeqNum>(
-          a.out.last(),
-          from + static_cast<SeqNum>(options_.retransmit_window) - 1);
-      for (SeqNum s = from; s <= to; ++s) {
-        const auto* slot = a.out.get(s);
-        if (!slot) continue;
-        if (!slot->encoded) {
-          slot->encoded = std::make_shared<const Bytes>(data::encode_data(
-              origin, slot->seq, slot->payload, slot->virtual_size, a.epoch));
-          STAB_OBS(++ctr_.pending_data_encodes);
-        }
-        transport_.send_shared(peer, slot->encoded,
-                               slot->encoded->size() + slot->virtual_size);
-        STAB_OBS({
-          ++ctr_.pending_shared_sends;
-          ++ctr_.pending_frames_transmitted;
-          ctr_.retransmits_sent.inc();
-        });
-      }
-      a.acked_at_probe[peer] = acked;
-    }
-  }
-}
-
-void Stabilizer::reclaim_adopted(NodeId origin, AdoptedStream& a) {
-  if (a.out.empty()) return;
-  const AckTable& acks = engines_[origin]->acks();
-  SeqNum floor = a.out.last();
-  for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-    if (peer == options_.self || peer == origin || excluded_[peer]) continue;
-    floor = std::min(floor, acks.get(StabilityTypeRegistry::kReceived, peer));
-  }
-  if (floor >= a.out.base()) a.out.reclaim_through(floor);
-}
-
 // --- introspection ------------------------------------------------------------------
 
 SeqNum Stabilizer::last_sent() const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return sequencer_.last_assigned();
+  return own_.last_assigned();
 }
 
 StabilizerStats Stabilizer::stats() const {
@@ -1857,7 +1626,6 @@ StabilizerStats Stabilizer::stats() const {
     s.data_encodes = ctr_.data_encodes.value();
     s.shared_sends = ctr_.shared_sends.value();
     s.frames_coalesced = ctr_.frames_coalesced.value();
-    s.fanout_bytes_copied = ctr_.fanout_bytes_copied.value();
     s.fenced_frames = ctr_.fenced_frames.value();
     s.epoch_ahead_drops = ctr_.epoch_ahead_drops.value();
     s.takeovers_observed = ctr_.takeovers_observed.value();

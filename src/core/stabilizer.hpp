@@ -52,8 +52,8 @@
 #include "config/topology.hpp"
 #include "control/deferred_reporter.hpp"
 #include "control/frontier_engine.hpp"
+#include "core/out_stream.hpp"
 #include "core/pipeline.hpp"
-#include "data/out_buffer.hpp"
 #include "data/receive_tracker.hpp"
 #include "data/wire.hpp"
 #include "dsl/predicate.hpp"
@@ -130,15 +130,6 @@ struct StabilizerOptions {
 
   /// Execution strategy for compiled predicates.
   dsl::EvalMode eval_mode = dsl::EvalMode::kSpecialized;
-
-  /// Data-plane send strategy. kShared (the default) encodes each message
-  /// once into its send-buffer slot and fans the refcounted frame out via
-  /// Transport::send_shared; go-back-N retransmits reuse the same buffer.
-  /// kLegacy re-encodes per destination per transmission — the pre-fast-path
-  /// behaviour, kept as an in-binary baseline for benches and differential
-  /// tests.
-  enum class DataPath { kLegacy, kShared };
-  DataPath data_path = DataPath::kShared;
 
   /// Small-frame coalescing: when > 1, a window flush that finds several
   /// consecutive pending messages for a peer packs up to this many into one
@@ -246,10 +237,9 @@ struct StabilizerStats {
   // Data-plane fast path. frames_transmitted above stays per message per
   // peer even when messages ride inside a DATABATCH; frames_coalesced counts
   // how many of those transmissions were coalesced.
-  uint64_t data_encodes = 0;         // DATA/DATABATCH encode executions
-  uint64_t shared_sends = 0;         // frames handed to Transport::send_shared
-  uint64_t frames_coalesced = 0;     // message transmissions inside a batch
-  uint64_t fanout_bytes_copied = 0;  // bytes encoded per-peer (legacy path)
+  uint64_t data_encodes = 0;      // DATA/DATABATCH encode executions
+  uint64_t shared_sends = 0;      // frames handed to Transport::send_shared
+  uint64_t frames_coalesced = 0;  // message transmissions inside a batch
   // Primary failover (epoch fencing; DESIGN.md §6). fenced_frames counts
   // frames dropped for carrying a *stale* primary epoch (the zombie
   // ex-primary signature); epoch_ahead_drops counts frames from a *newer*
@@ -489,7 +479,7 @@ class Stabilizer {
   /// Snapshot of the counters, with the control-plane eval counters
   /// aggregated across every origin engine at call time.
   StabilizerStats stats() const;
-  uint64_t send_buffer_bytes() const { return out_.buffered_bytes(); }
+  uint64_t send_buffer_bytes() const { return own_.buffered_bytes(); }
   /// 0 for a fresh instance; a restore bumps it to snapshot epoch + 1.
   uint64_t session_epoch() const;
   /// Highest session epoch announced by `peer` via RESUME (0 = never).
@@ -539,16 +529,12 @@ class Stabilizer {
   void retransmit_check();
   void schedule_stall_timer();
   void stall_check();
-  void apply_origin_rule_for_send(SeqNum seq);
+  void apply_origin_rule(NodeId origin, SeqNum seq);
+  /// The body of send() and send_as() once the caller has picked the stream.
+  SeqNum send_on(OutStream& stream, BytesView payload, uint64_t virtual_size);
+  void backfill_origin_rule();
   void maybe_reclaim();
-  void transmit(NodeId dst, const data::OutBuffer::Slot& slot);
-  /// Transmits slots [first, first + count) to `dst` as one DATABATCH frame.
-  void transmit_batch(NodeId dst, SeqNum first, size_t count);
-  bool coalescing_enabled() const { return options_.coalesce_max_frames > 1; }
-  /// True when the slot is small enough to ride inside a DATABATCH.
-  bool coalescable(const data::OutBuffer::Slot& slot) const;
-  /// Transmits buffered messages to every peer up to its window allowance.
-  void pump_windows();
+  void pump_all();
   /// Coalescing defers send()'s flush to the end of the event-loop turn so a
   /// burst of sends batches; this arms that (single) deferred pump.
   void arm_flush();
@@ -567,21 +553,6 @@ class Stabilizer {
   /// overlapping old-epoch suffix under the new authority).
   void apply_takeover_cursor(NodeId origin, SeqNum start_seq,
                              bool allow_rollback = true);
-
-  struct AdoptedStream {
-    PrimaryEpoch epoch = 0;
-    data::Sequencer sequencer;
-    data::OutBuffer out;
-    std::vector<SeqNum> acked_at_probe;  // per peer; go-back-N probe progress
-  };
-  /// Eager fan-out of one adopted-stream slot (encode-once; no coalescing —
-  /// takeover traffic is rare enough that the simple path wins).
-  void transmit_adopted(NodeId origin, AdoptedStream& a,
-                        const data::OutBuffer::Slot& slot);
-  /// Go-back-N probe + reclamation for every adopted stream, driven from the
-  /// same retransmit timer as the own-stream probe.
-  void retransmit_adopted_check();
-  void reclaim_adopted(NodeId origin, AdoptedStream& a);
 
   // --- pipelined control plane (DESIGN.md §4f) -------------------------------
   /// Receive-thread entry in kPipelined mode. Lock-free: folds plain ack
@@ -602,14 +573,10 @@ class Stabilizer {
   Transport& transport_;
   StabilityTypeRegistry types_;
   std::vector<std::unique_ptr<FrontierEngine>> engines_;  // per origin
-  data::Sequencer sequencer_;
-  data::OutBuffer out_;
   data::ReceiveTracker rx_;
   DeliveryHandler delivery_;
   RawHandler raw_handler_;
   std::vector<bool> excluded_;
-  std::vector<SeqNum> peer_acked_at_last_probe_;  // retransmission progress
-  std::vector<SeqNum> next_to_send_;              // per-peer window cursor
 
   struct DirtyAck {
     SeqNum seq = kNoSeq;
@@ -634,14 +601,6 @@ class Stabilizer {
   bool agg_self_ = false;
   NodeId my_aggregator_ = kInvalidNode;
   std::vector<bool> same_az_;
-  // Last encoded DATABATCH, keyed by (first_seq, count). Sequence numbers
-  // are never reused and slots are immutable until reclaim, so a hit is
-  // always valid — a broadcast encodes each batch once and every peer's
-  // flush reuses it.
-  SeqNum batch_first_ = kNoSeq;
-  size_t batch_count_ = 0;
-  std::shared_ptr<const Bytes> batch_frame_;
-  uint64_t batch_wire_ = 0;
   // Deferred-flush state (armed only while coalescing is enabled).
   bool flush_armed_ = false;
   TimerId flush_timer_ = kInvalidTimer;
@@ -662,10 +621,9 @@ class Stabilizer {
   // Primary-failover state (all under mutex_ except node_fenced_).
   // stream_epoch_[o] / stream_primary_[o]: the newest sequencing authority
   // this node has learned for origin o's stream (epoch 0, primary o at
-  // construction). adopted_: streams this node won and now sequences.
+  // construction).
   std::vector<PrimaryEpoch> stream_epoch_;
   std::vector<NodeId> stream_primary_;
-  std::map<NodeId, AdoptedStream> adopted_;
   bool self_fenced_ = false;
   // Lock-free mirror of "node x was deposed from its own stream" for the
   // pipelined ingest path (which must not take mutex_): a fenced node's
@@ -709,7 +667,6 @@ class Stabilizer {
     obs::Counter& data_encodes;
     obs::Counter& shared_sends;
     obs::Counter& frames_coalesced;
-    obs::Counter& fanout_bytes_copied;
     obs::Counter& ack_batches_sent;
     obs::Counter& ack_bytes_sent;
     obs::Counter& ack_entries_applied;
@@ -741,7 +698,6 @@ class Stabilizer {
     uint64_t pending_data_encodes = 0;
     uint64_t pending_shared_sends = 0;
     uint64_t pending_frames_coalesced = 0;
-    uint64_t pending_fanout_bytes_copied = 0;
     void flush_pending();
 
     explicit Counters(obs::MetricsRegistry& r);
@@ -765,6 +721,12 @@ class Stabilizer {
   }
   mutable uint64_t trace_dropped_synced_ = 0;
 #endif
+
+  // The streams this node sequences: its own, and by origin the ones it won
+  // in failover elections.
+  friend class OutStream;
+  OutStream own_{*this, options_.self, 0};
+  std::map<NodeId, OutStream> adopted_;
   mutable std::recursive_mutex mutex_;
 };
 

@@ -268,7 +268,6 @@ StabilizerStats ShardedStabilizer::stats() const {
     total.data_encodes += s.data_encodes;
     total.shared_sends += s.shared_sends;
     total.frames_coalesced += s.frames_coalesced;
-    total.fanout_bytes_copied += s.fanout_bytes_copied;
     total.fenced_frames += s.fenced_frames;
     total.epoch_ahead_drops += s.epoch_ahead_drops;
     total.takeovers_observed += s.takeovers_observed;

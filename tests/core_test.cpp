@@ -309,8 +309,8 @@ TEST(Core, LossyBothDirectionsStillConverges) {
 
 TEST(Core, EncodeOncePerBroadcastEvenUnderRetransmission) {
   // The data-plane fast path's core invariant: a 5-node broadcast encodes
-  // each message exactly once (the legacy path paid N-1 = 4), and go-back-N
-  // retransmits reuse the cached frame instead of re-encoding.
+  // each message exactly once, not once per peer, and go-back-N retransmits
+  // reuse the cached frame instead of re-encoding.
   Topology topo = tiny_topology(5, 5);
   StabilizerOptions base;
   base.retransmit_timeout = millis(50);
@@ -335,29 +335,43 @@ TEST(Core, EncodeOncePerBroadcastEvenUnderRetransmission) {
   EXPECT_GT(s.retransmits_sent, 0u);  // the lossy links forced re-sends
   EXPECT_GT(s.frames_transmitted, static_cast<uint64_t>(kCount) * 4);
   EXPECT_EQ(s.data_encodes, static_cast<uint64_t>(kCount));
-  EXPECT_EQ(s.fanout_bytes_copied, 0u);
   EXPECT_GE(s.shared_sends, s.frames_transmitted);  // data + acks, all shared
 #endif
 }
 
-TEST(Core, LegacyDataPathReencodesPerPeer) {
-  // The kLegacy toggle preserves the pre-fast-path cost model: one encode
-  // and one full frame copy per destination.
-  StabilizerOptions base;
-  base.data_path = StabilizerOptions::DataPath::kLegacy;
-  SimFixture f(tiny_topology(5, 5), base);
-  const int kCount = 20;
-  for (int i = 0; i < kCount; ++i) f.node(0).send(to_bytes("msg"));
-  f.sim.run();
+/// Origin 0's stream as a data-path test input, streamed to `mirrors`
+/// peers. The own-stream input is node 0 sending on its own stream. The
+/// adopted input is the same stream after a failover: node 0 is down, and
+/// node 1 won stream 0 under epoch 1 and sequences it with send_as. Both
+/// run the same data path, so every data-path property holds for each.
+struct StreamCase {
+  StreamCase(bool adopted, size_t mirrors, double lat_ms,
+             StabilizerOptions base)
+      : adopted(adopted),
+        f(tiny_topology(mirrors + (adopted ? 2 : 1), lat_ms), base) {
+    if (!adopted) return;
+    f.cluster->network().set_node_up(0, false);
+    for (NodeId n = 1; n < f.nodes.size(); ++n)
+      EXPECT_TRUE(f.node(n).observe_takeover(0, 1, 1, 0).is_ok());
+    EXPECT_TRUE(f.node(1).adopt_stream(0, 0, 1).is_ok());
+  }
+  Stabilizer& sender() { return f.node(adopted ? 1 : 0); }
+  SeqNum send(BytesView payload) {
+    return adopted ? sender().send_as(0, payload) : sender().send(payload);
+  }
+  /// The i-th (0-based) mirror of stream 0.
+  NodeId mirror(size_t i) const {
+    return static_cast<NodeId>(i + (adopted ? 2 : 1));
+  }
+  /// A predicate over every live mirror of stream 0 ($1 is dead node 0).
+  std::string all_mirrors() const {
+    return adopted ? "MIN($ALLWNODES-$MYWNODE-$1)"
+                   : "MIN($ALLWNODES-$MYWNODE)";
+  }
 
-#if STAB_OBS_ENABLED
-  StabilizerStats s = f.node(0).stats();
-  EXPECT_EQ(s.data_encodes, static_cast<uint64_t>(kCount) * 4);
-  EXPECT_GT(s.fanout_bytes_copied, 0u);
-#endif
-  for (NodeId peer = 1; peer < 5; ++peer)
-    EXPECT_EQ(f.node(peer).delivered_through(0), kCount - 1);
-}
+  bool adopted;
+  SimFixture f;
+};
 
 TEST(Core, CoalescingPreservesFifoAndFrontiers) {
   // A burst of small sends coalesces into DATABATCH frames; receivers must
@@ -365,38 +379,44 @@ TEST(Core, CoalescingPreservesFifoAndFrontiers) {
   // frontier convergence).
   StabilizerOptions base;
   base.coalesce_max_frames = 16;
-  SimFixture f(tiny_topology(3, 5), base);
-  ASSERT_TRUE(f.node(0).register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
-  std::map<NodeId, std::vector<SeqNum>> got;
-  for (NodeId n = 1; n < 3; ++n)
-    f.node(n).set_delivery_handler(
-        [&, n](NodeId origin, SeqNum seq, BytesView payload, uint64_t) {
-          EXPECT_EQ(origin, 0u);
-          EXPECT_EQ(to_string(payload), "m" + std::to_string(seq));
-          got[n].push_back(seq);
-        });
+  for (bool adopted : {false, true}) {
+    SCOPED_TRACE(adopted ? "adopted stream" : "own stream");
+    StreamCase c(adopted, 2, 5, base);
+    ASSERT_TRUE(c.sender().register_predicate("all", c.all_mirrors()));
+    std::map<NodeId, std::vector<SeqNum>> got;
+    for (size_t i = 0; i < 2; ++i)
+      c.f.node(c.mirror(i))
+          .set_delivery_handler([&got, n = c.mirror(i)](
+                                    NodeId origin, SeqNum seq,
+                                    BytesView payload, uint64_t) {
+            EXPECT_EQ(origin, 0u);
+            EXPECT_EQ(to_string(payload), "m" + std::to_string(seq));
+            got[n].push_back(seq);
+          });
 
-  const int kCount = 100;
-  for (int i = 0; i < kCount; ++i)
-    f.node(0).send(to_bytes("m" + std::to_string(i)));
-  f.sim.run();
+    const int kCount = 100;
+    for (int i = 0; i < kCount; ++i)
+      c.send(to_bytes("m" + std::to_string(i)));
+    c.f.sim.run();
 
-  for (NodeId n = 1; n < 3; ++n) {
-    ASSERT_EQ(got[n].size(), static_cast<size_t>(kCount));
-    for (int i = 0; i < kCount; ++i) EXPECT_EQ(got[n][i], i);
-  }
-  EXPECT_EQ(f.node(0).get_stability_frontier("all"), kCount - 1);
+    for (size_t i = 0; i < 2; ++i) {
+      const std::vector<SeqNum>& log = got[c.mirror(i)];
+      ASSERT_EQ(log.size(), static_cast<size_t>(kCount));
+      for (int s = 0; s < kCount; ++s) EXPECT_EQ(log[s], s);
+    }
+    EXPECT_EQ(c.sender().get_stability_frontier("all", 0), kCount - 1);
 
 #if STAB_OBS_ENABLED
-  StabilizerStats s = f.node(0).stats();
-  // The burst was sent in one event-loop turn, so nearly everything rode in
-  // batches; per-message accounting is unchanged.
-  EXPECT_GT(s.frames_coalesced, static_cast<uint64_t>(kCount));
-  EXPECT_EQ(s.frames_transmitted, static_cast<uint64_t>(kCount) * 2);
-  // Far fewer encodes than messages: batches of up to 16, each encoded once
-  // for both peers.
-  EXPECT_LT(s.data_encodes, static_cast<uint64_t>(kCount) / 2);
+    StabilizerStats s = c.sender().stats();
+    // The burst was sent in one event-loop turn, so nearly everything rode
+    // in batches; per-message accounting is unchanged.
+    EXPECT_GT(s.frames_coalesced, static_cast<uint64_t>(kCount));
+    EXPECT_EQ(s.frames_transmitted, static_cast<uint64_t>(kCount) * 2);
+    // Far fewer encodes than messages: batches of up to 16, each encoded
+    // once for both peers.
+    EXPECT_LT(s.data_encodes, static_cast<uint64_t>(kCount) / 2);
 #endif
+  }
 }
 
 TEST(Core, CoalescingRespectsByteBoundAndLargePayloads) {
@@ -451,23 +471,46 @@ TEST(Core, SendWindowLimitsInFlight) {
 }
 
 TEST(Core, SendWindowIsPerPeer) {
-  // A dead peer's full window must not stop the healthy peer's flow.
-  StabilizerOptions base;
-  base.send_window = 2;
-  SimFixture f(tiny_topology(3, 5), base);
-  f.cluster->network().set_node_up(2, false);
-  size_t delivered = 0;
-  f.node(1).set_delivery_handler(
-      [&](NodeId, SeqNum, BytesView, uint64_t) { ++delivered; });
-  for (int i = 0; i < 10; ++i) f.node(0).send(to_bytes("m"));
-  f.sim.run();
-  EXPECT_EQ(delivered, 10u);  // node 1 got everything
-  // Node 0 transmitted all 10 DATA frames to node 1 but only the 2-message
-  // window toward the dead node 2 (dropped frames also include ack batches
-  // aimed at node 2, so count transmissions, not drops).
+  // A dead peer's full window must not stop the healthy peer's flow. The
+  // window opens on receive acks, which reach the stream's sequencing
+  // authority whether reports are broadcast or origin-scoped.
+  for (bool adopted : {false, true}) {
+    for (bool broadcast_acks : {true, false}) {
+      SCOPED_TRACE(std::string(adopted ? "adopted stream" : "own stream") +
+                   (broadcast_acks ? ", broadcast acks" : ", scoped acks"));
+      StabilizerOptions base;
+      base.send_window = 2;
+      base.broadcast_acks = broadcast_acks;
+      StreamCase c(adopted, 2, 5, base);
+      c.f.cluster->network().set_node_up(c.mirror(1), false);
+      size_t delivered = 0;
+      c.f.node(c.mirror(0))
+          .set_delivery_handler(
+              [&](NodeId, SeqNum, BytesView, uint64_t) { ++delivered; });
+      for (int i = 0; i < 10; ++i) c.send(to_bytes("m"));
+      c.f.sim.run();
+      EXPECT_EQ(delivered, 10u);  // the healthy mirror got everything
+      // The sender transmitted all 10 DATA frames to the healthy mirror but
+      // only the 2-message window toward the dead one (dropped frames also
+      // include ack batches aimed at it, so count transmissions, not drops).
 #if STAB_OBS_ENABLED
-  EXPECT_EQ(f.node(0).stats().frames_transmitted, 12u);
+      EXPECT_EQ(c.sender().stats().frames_transmitted, 12u);
 #endif
+    }
+  }
+}
+
+TEST(Core, NewTypesBackfillOriginRuleOnEveryStream) {
+  // A predicate registered after sends may introduce a stability type; the
+  // sequencing authority holds it for everything it already sequenced, on
+  // its own stream and on the streams it adopted.
+  for (bool adopted : {false, true}) {
+    SCOPED_TRACE(adopted ? "adopted stream" : "own stream");
+    StreamCase c(adopted, 2, 5, {});
+    for (int i = 0; i < 3; ++i) c.send(to_bytes("m"));
+    ASSERT_TRUE(c.sender().register_predicate("v", "MIN($MYWNODE.verified)"));
+    EXPECT_EQ(c.sender().get_stability_frontier("v", 0), 2);
+  }
 }
 
 TEST(Core, WindowedAndUnwindowedDeliverIdentically) {
@@ -546,6 +589,73 @@ TEST(Core, SendRawValidatesKindSpace) {
   SimFixture f(tiny_topology(2));
   EXPECT_THROW(f.node(0).send_raw(1, Bytes{0x01}), std::invalid_argument);
   f.node(0).send_raw(1, Bytes{0x41});  // application space: fine
+}
+
+/// Hands every newly installed receive handler one ACKBATCH from node 1
+/// before set_receive_handler returns, as a transport may when a peer is
+/// already running; everything else goes to the wrapped sim transport.
+class EagerTransport final : public Transport {
+ public:
+  explicit EagerTransport(SimTransport& inner) : inner_(inner) {}
+  NodeId self() const override { return inner_.self(); }
+  size_t cluster_size() const override { return inner_.cluster_size(); }
+  void set_receive_handler(ReceiveHandler handler) override {
+    if (handler) {
+      data::AckBatchFrame ack;
+      ack.reporter = 1;
+      ack.entries.push_back(
+          data::AckEntry{1, StabilityTypeRegistry::kReceived, 5, {}});
+      Bytes frame = data::encode(ack);
+      handler(1, frame, frame.size());
+    }
+    inner_.set_receive_handler(std::move(handler));
+  }
+  void send(NodeId dst, Bytes frame, uint64_t wire_size) override {
+    inner_.send(dst, std::move(frame), wire_size);
+  }
+  void send_shared(NodeId dst, std::shared_ptr<const Bytes> frame,
+                   uint64_t wire_size) override {
+    inner_.send_shared(dst, std::move(frame), wire_size);
+  }
+  Env& env() override { return inner_.env(); }
+  bool single_threaded() const override { return inner_.single_threaded(); }
+  void set_direct_dispatch(bool on) override {
+    inner_.set_direct_dispatch(on);
+  }
+
+ private:
+  SimTransport& inner_;
+};
+
+/// A frame that reaches node 0's handler inside its constructor is applied
+/// like any other, and the node then streams normally.
+void check_frame_during_construction(StabilizerOptions::PipelineMode mode) {
+  Topology topo = tiny_topology(2, 5);
+  sim::Simulator sim;
+  SimCluster cluster(topo, sim);
+  EagerTransport eager(cluster.transport(0));
+  StabilizerOptions opts;
+  opts.topology = topo;
+  opts.send_window = 4;
+  opts.pipeline_mode = mode;
+  Stabilizer node0(opts, eager);
+  opts.self = 1;
+  Stabilizer node1(opts, cluster.transport(1));
+  EXPECT_EQ(node0.engine(1).acks().get(StabilityTypeRegistry::kReceived, 1),
+            5);
+  for (int i = 0; i < 10; ++i) node0.send(to_bytes("m"));
+  sim.run();
+  EXPECT_EQ(node1.delivered_through(0), 9);
+}
+
+TEST(Core, FrameDuringConstructionLocked) {
+  check_frame_during_construction(
+      StabilizerOptions::PipelineMode::kLegacyLocked);
+}
+
+TEST(Core, FrameDuringConstructionPipelined) {
+  check_frame_during_construction(
+      StabilizerOptions::PipelineMode::kPipelined);
 }
 
 TEST(Core, ErrorsPropagate) {

@@ -63,6 +63,15 @@ StabilizerOptions failover_base_options() {
   return o;
 }
 
+/// The data path's flow-control and batching options on: adopted streams
+/// must run them exactly like own streams.
+StabilizerOptions coalescing_window_options() {
+  StabilizerOptions o = failover_base_options();
+  o.coalesce_max_frames = 16;
+  o.send_window = 64;
+  return o;
+}
+
 FailoverOptions guard_options() {
   FailoverOptions fo;
   fo.stream = 0;
@@ -150,12 +159,13 @@ struct FailoverCluster {
     cluster->transport(id).detach();
   }
 
-  /// Drive the guarded stream: while the configured origin is alive it
-  /// sends; after a kill, whichever node promoted continues the stream via
-  /// send_as. The gap between the two is the unavailability window.
+  /// Drive the guarded stream with `burst` messages every `interval`:
+  /// while the configured origin is alive it sends; after a kill, whichever
+  /// node promoted continues the stream via send_as. The gap between the
+  /// two is the unavailability window.
   void start_stream_traffic(NodeId stream, Duration interval,
-                            TimePoint until) {
-    schedule_stream_send(stream, interval, until);
+                            TimePoint until, size_t burst = 1) {
+    schedule_stream_send(stream, interval, until, burst);
   }
 
   /// Background load on a node's own stream (piggybacked lease signal).
@@ -302,17 +312,19 @@ struct FailoverCluster {
   }
 
   void schedule_stream_send(NodeId stream, Duration interval,
-                            TimePoint until) {
-    sim.schedule_after(interval, [this, stream, interval, until] {
+                            TimePoint until, size_t burst) {
+    sim.schedule_after(interval, [this, stream, interval, until, burst] {
       if (sim.now() > until) return;
-      if (nodes[stream]) {
-        nodes[stream]->send(to_bytes("load"));
-      } else {
-        for (NodeId id = 0; id < topo_.num_nodes(); ++id)
-          if (nodes[id] && managers[id]->promoted())
-            nodes[id]->send_as(stream, to_bytes("load"));
+      for (size_t i = 0; i < burst; ++i) {
+        if (nodes[stream]) {
+          nodes[stream]->send(to_bytes("load"));
+        } else {
+          for (NodeId id = 0; id < topo_.num_nodes(); ++id)
+            if (nodes[id] && managers[id]->promoted())
+              nodes[id]->send_as(stream, to_bytes("load"));
+        }
       }
-      schedule_stream_send(stream, interval, until);
+      schedule_stream_send(stream, interval, until, burst);
     });
   }
 
@@ -333,9 +345,15 @@ struct FailoverCluster {
 
 // --- the scripted kill_primary campaign --------------------------------------
 
+/// Stream messages per burst in the bursty campaigns: more than send_window
+/// in coalescing_window_options(), so every burst fills the window.
+constexpr size_t kBurst = 100;
+
 /// Kill the primary of stream 0 mid-load at t=2s; a mirror must detect,
-/// win the ballot, reconcile, and continue the stream under epoch 1.
-void run_kill_primary_campaign(FailoverCluster& c, double loss = 0.0) {
+/// win the ballot, reconcile, and continue the stream under epoch 1. The
+/// stream sends `burst` messages every burst * 10 ms (100 messages/s).
+void run_kill_primary_campaign(FailoverCluster& c, double loss = 0.0,
+                               size_t burst = 1) {
   const NodeId primary = 0;
   ChaosScript script;
   if (loss > 0)
@@ -344,7 +362,8 @@ void run_kill_primary_campaign(FailoverCluster& c, double loss = 0.0) {
   sim::finalize_script(script);
   c.chaos->arm(script);
 
-  c.start_stream_traffic(primary, millis(10), seconds(8));
+  c.start_stream_traffic(primary, millis(10) * static_cast<int64_t>(burst),
+                         seconds(8), burst);
   for (NodeId id = 1; id < c.num_nodes(); ++id)
     c.start_own_traffic(id, millis(50), seconds(8));
 
@@ -393,6 +412,26 @@ TEST(Failover, KillPrimaryPromotesExactlyOneMirrorAndContinuesStream) {
 #endif
 }
 
+// The winner sequences the adopted stream through the same data path as
+// its own: with coalescing and a send window on, and the stream sent in
+// bursts that fill the window, the campaign converges like the default one.
+TEST(Failover, KillPrimaryWithCoalescingAndWindow) {
+  FailoverCluster c(4, /*seed=*/0xF01D, coalescing_window_options());
+  run_kill_primary_campaign(c, /*loss=*/0.0, kBurst);
+
+  c.check_failover_converged(0);
+  c.check_waits_resolved();
+  for (const ParkedWait& w : c.waits) EXPECT_GE(w.result, w.target);
+
+#if STAB_OBS_ENABLED
+  // The winner's post-takeover bursts rode DATABATCH frames.
+  for (NodeId id = 1; id < c.num_nodes(); ++id) {
+    if (!c.manager(id).promoted()) continue;
+    EXPECT_GT(c.node(id).stats().frames_coalesced, 0u) << "node " << id;
+  }
+#endif
+}
+
 TEST(Failover, KillPrimaryCampaignIsDeterministicPerSeed) {
   std::string digests[2];
   for (int run = 0; run < 2; ++run) {
@@ -410,16 +449,21 @@ TEST(Failover, KillPrimaryCampaignIsDeterministicPerSeed) {
 
 // --- lossy sweep: seed-replayable property campaign --------------------------
 
+/// Odd seeds run the bursty campaign with coalescing and a send window,
+/// even seeds the default one.
 void run_lossy_campaign(uint64_t seed) {
   SCOPED_TRACE("failover seed " + std::to_string(seed));
-  FailoverCluster c(4, seed);
-  run_kill_primary_campaign(c, /*loss=*/0.05);
+  const bool bursty = seed % 2 == 1;
+  FailoverCluster c(4, seed,
+                    bursty ? coalescing_window_options()
+                           : failover_base_options());
+  run_kill_primary_campaign(c, /*loss=*/0.05, bursty ? kBurst : 1);
   c.check_failover_converged(0);
   c.check_waits_resolved();
 }
 
 TEST(FailoverProperty, LossyKillCampaignsHoldInvariants) {
-  std::vector<uint64_t> seeds = {3, 17, 29};
+  std::vector<uint64_t> seeds = {3, 17, 29, 4, 18};
   if (const char* env = std::getenv("STAB_FAILOVER_SEEDS")) {
     seeds.clear();
     std::stringstream ss(env);
