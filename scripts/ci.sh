@@ -4,15 +4,15 @@
 # throughput floor), a chaos property sweep
 # under fresh random seeds, then sanitizer passes: one configurable pass over
 # the control-plane/core suites (the indexed dispatch / batched ack hot path,
-# its re-entrant callback surface, and the lock-free pipeline's MT suite)
-# plus ASan, TSan, and UBSan passes over the fault-handling suites
+# its re-entrant callback surface, and the lock-free report/read paths' MT
+# suite) plus ASan, TSan, and UBSan passes over the fault-handling suites
 # (recovery_test + chaos_test + failover_test — the crash-restart / RESUME
-# machinery and the primary-failover election/fencing path, with
-# pipeline-enabled campaigns) and the real-time suites (net_test +
-# integration_test + common_test — the epoll event loop, TCP framing under
-# hostile bytes, handler teardown). The TSan leg additionally runs
-# core_mt_test and failover-adjacent MT suites unconditionally. A short
-# perfbench tcp_small run closes the plain pass as a correctness smoke.
+# machinery, the primary-failover election/fencing path and the sharded
+# campaigns) and the real-time suites (net_test + integration_test +
+# common_test — the epoll event loop, TCP framing under hostile bytes,
+# handler teardown). The TSan and UBSan legs additionally run core_mt_test
+# unconditionally, and the TSan leg obs_test. A short perfbench tcp_small
+# run closes the plain pass as a correctness smoke.
 #
 # Usage: scripts/ci.sh [extra cmake args...]
 # Env:   STAB_CI_SANITIZER=address|thread|undefined  (default: address)
@@ -47,7 +47,8 @@ echo "==> data-plane hot path bench (smoke)"
 echo "==> control-plane hot path bench (smoke: dispatch + MT producer curve)"
 # Same convention: the committed BENCH_control_mt.json at the repo root is
 # full-mode only; the smoke pass exercises the digest-equality assertions
-# (indexed-vs-legacy, pipelined-vs-locked) without enforcing timing floors.
+# (indexed-vs-legacy dispatch, report cells vs the locked report path)
+# without enforcing timing floors.
 (cd "$ROOT/build" && bench/bench_control_hotpath --smoke)
 
 echo "==> shard scale-out bench (smoke: 1 vs 2 shards, >=1.5x floor)"
@@ -221,20 +222,23 @@ for FSAN in address thread undefined; do
     # The refcounted fan-out hands one buffer to concurrent receiver threads
     # (InProc) and to the TCP node's loop via scatter-gather; net_test (run
     # just above) guards the shared-frame lifetime and ordering. obs_test
-    # under TSan guards the registry's relaxed-atomic counters and the tracer's
-    # mutexed append (its multithreaded hammer tests). core_mt_test under
-    # TSan guards the lock-free control-plane pipeline (SPSC rings, CAS-max
-    # ack cells, epoch-snapshot frontier reads) under genuinely concurrent
-    # facade use — it runs here unconditionally even when STAB_CI_SANITIZER
-    # selects a different flavor for the configurable pass above. The
-    # pipeline-enabled chaos campaign (ChaosCampaign.PipelinedAgreesWith-
-    # LockedPostHeal + the odd sweep seeds) and the sharded campaigns
-    # (ShardedChaos.*: per-shard failover domains + per-shard pipelined-vs-
-    # locked digest equality, DESIGN.md §9) already ran as part of
-    # chaos_test just above.
-    echo "==> $FSAN sanitizer: obs_test + core_mt_test (pipeline)"
-    cmake --build "$FSAN_DIR" -j --target obs_test core_mt_test
+    # under TSan guards the registry's relaxed-atomic counters and the
+    # tracer's mutexed append (its multithreaded hammer tests). The sharded
+    # campaigns (ShardedChaos.*: per-shard failover domains + per-shard
+    # digest replay, DESIGN.md §9) already ran as part of chaos_test just
+    # above.
+    echo "==> $FSAN sanitizer: obs_test"
+    cmake --build "$FSAN_DIR" -j --target obs_test
     "$FSAN_DIR/tests/obs_test"
+  fi
+  if [[ "$FSAN" == "thread" || "$FSAN" == "undefined" ]]; then
+    # core_mt_test is the one suite where application threads race the
+    # lock-free report path (CAS-max report cells, the posted drain) and
+    # the wait-free frontier reads against the node's Env thread. It runs
+    # under TSan and UBSan here even when STAB_CI_SANITIZER selects a
+    # different flavor for the configurable pass above.
+    echo "==> $FSAN sanitizer: core_mt_test (lock-free report/read paths)"
+    cmake --build "$FSAN_DIR" -j --target core_mt_test
     "$FSAN_DIR/tests/core_mt_test"
   fi
 done

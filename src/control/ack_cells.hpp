@@ -1,19 +1,19 @@
 // Relaxed-atomic accumulation cells for monotonic stability reports
 // (DESIGN.md §4f).
 //
-// One block per origin stream mirrors that stream's AckTable shape: a dense
-// (type, node) grid where each cell is a single atomic max. Transport
-// receive threads fold plain ACK entries straight into the cells with a
-// lock-free CAS-max — no mutex, no allocation — and the control drain later
-// diffs the grid against a consumer-owned shadow copy to emit one coalesced
-// AckUpdate per advanced cell into FrontierEngine::on_ack_batch.
+// One block per origin stream holds one cell per stability type: this
+// node's own latest report about that stream at that level. Application
+// threads calling report_stability fold plain reports straight into the
+// cells with a lock-free CAS-max — no mutex, no allocation — and the control
+// drain later diffs the row against a consumer-owned shadow copy to emit one
+// coalesced AckUpdate per advanced cell into FrontierEngine::on_ack_batch.
 //
 // Why coalescing is lossless: reports are monotonic max-merges (paper
 // §III-A), so only the final value of a cell matters; intermediate values
 // produce the same frontier the moment the final one lands. Reports that
 // carry extra bytes are NOT routed here (the extra must reach the matching
 // eval), nor are types beyond the block's fixed capacity — both take the
-// ingestion-ring path instead. offer() refuses them by returning false.
+// locked report path instead. offer() refuses the latter by returning false.
 //
 // Ordering: cell CAS loops are relaxed (each cell is an independent
 // monotonic word); the block-level dirty flag is release-set after the cell
@@ -33,29 +33,24 @@ namespace stab {
 
 class AckCellBlock {
  public:
-  AckCellBlock(size_t num_types, size_t num_nodes)
+  explicit AckCellBlock(size_t num_types)
       : num_types_(num_types),
-        num_nodes_(num_nodes),
-        cells_(std::make_unique<std::atomic<int64_t>[]>(num_types *
-                                                        num_nodes)),
-        shadow_(std::make_unique<int64_t[]>(num_types * num_nodes)) {
-    for (size_t i = 0; i < num_types * num_nodes; ++i) {
+        cells_(std::make_unique<std::atomic<int64_t>[]>(num_types)),
+        shadow_(std::make_unique<int64_t[]>(num_types)) {
+    for (size_t i = 0; i < num_types; ++i) {
       cells_[i].store(kNoSeq, std::memory_order_relaxed);
       shadow_[i] = kNoSeq;
     }
   }
 
-  size_t num_types() const { return num_types_; }
-  size_t num_nodes() const { return num_nodes_; }
-
-  /// Producer side, any thread. Max-merges `seq` into cell (type, node).
-  /// Returns false when the report is outside the grid — the caller must
-  /// route it through the ingestion ring instead. `*advanced` is set true
-  /// iff this call moved the cell forward (drain-arming hint).
-  bool offer(StabilityTypeId type, NodeId node, SeqNum seq, bool* advanced) {
+  /// Producer side, any thread. Max-merges `seq` into the cell of `type`.
+  /// Returns false when `type` is outside the block — the caller must take
+  /// the locked path instead. `*advanced` is set true iff this call moved
+  /// the cell forward (drain-arming hint).
+  bool offer(StabilityTypeId type, SeqNum seq, bool* advanced) {
     *advanced = false;
-    if (type >= num_types_ || node >= num_nodes_) return false;
-    std::atomic<int64_t>& cell = cells_[type * num_nodes_ + node];
+    if (type >= num_types_) return false;
+    std::atomic<int64_t>& cell = cells_[type];
     int64_t cur = cell.load(std::memory_order_relaxed);
     while (seq > cur) {
       if (cell.compare_exchange_weak(cur, seq, std::memory_order_relaxed,
@@ -73,22 +68,19 @@ class AckCellBlock {
   /// True when an offer advanced a cell since the last drain.
   bool dirty() const { return dirty_.load(std::memory_order_acquire); }
 
-  /// Consumer side (caller-serialized): diff the grid against the shadow and
-  /// invoke `fn(type, node, seq)` once per advanced cell. Returns the number
-  /// of cells emitted.
+  /// Consumer side (caller-serialized): diff the row against the shadow and
+  /// invoke `fn(type, seq)` once per advanced cell. Returns the number of
+  /// cells emitted.
   template <typename Fn>
   size_t drain(Fn&& fn) {
     if (!dirty_.exchange(false, std::memory_order_acq_rel)) return 0;
     size_t emitted = 0;
     for (size_t t = 0; t < num_types_; ++t) {
-      for (size_t n = 0; n < num_nodes_; ++n) {
-        const size_t i = t * num_nodes_ + n;
-        const int64_t v = cells_[i].load(std::memory_order_acquire);
-        if (v > shadow_[i]) {
-          shadow_[i] = v;
-          fn(static_cast<StabilityTypeId>(t), static_cast<NodeId>(n), v);
-          ++emitted;
-        }
+      const int64_t v = cells_[t].load(std::memory_order_acquire);
+      if (v > shadow_[t]) {
+        shadow_[t] = v;
+        fn(static_cast<StabilityTypeId>(t), v);
+        ++emitted;
       }
     }
     return emitted;
@@ -96,7 +88,6 @@ class AckCellBlock {
 
  private:
   const size_t num_types_;
-  const size_t num_nodes_;
   std::unique_ptr<std::atomic<int64_t>[]> cells_;
   std::unique_ptr<int64_t[]> shadow_;  // consumer-owned last-drained values
   std::atomic<bool> dirty_{false};

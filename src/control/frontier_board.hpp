@@ -2,7 +2,8 @@
 //
 // The FrontierEngine mutates predicate state under the Stabilizer's API
 // mutex, but `get_stability_frontier` and the waitfor already-stable fast
-// path must not queue behind ack drains. The board is the bridge: each
+// path must not queue behind that mutex (frame processing, report drains,
+// user callbacks). The board is the bridge: each
 // registered predicate gets a Slot holding its frontier in a single atomic
 // word, and the key -> Slot* map is published as an immutable snapshot
 // through one atomic pointer (epoch publication — the same plain-mutation/

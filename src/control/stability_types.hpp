@@ -6,8 +6,8 @@
 // §III-C). Types are dense ids so the AckTable can store one row per type.
 //
 // Threading: mutation (get_or_register) is rare and externally serialized by
-// the Stabilizer's API mutex. Lookup by name also happens on the pipelined
-// report_stability fast path, which must not take that mutex — so every
+// the Stabilizer's API mutex. Lookup by name also happens on the lock-free
+// report_stability path, which must not take that mutex — so every
 // mutation publishes an immutable snapshot of the name list through an
 // atomic pointer, and find_fast() reads the snapshot wait-free. Retired
 // snapshots go to a graveyard freed at destruction: a reader that loaded an

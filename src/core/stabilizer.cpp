@@ -108,17 +108,14 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
   }
 #endif
 
-  if (options_.pipeline_mode == StabilizerOptions::PipelineMode::kPipelined) {
+  // Lock-free report cells only where reports can come from threads other
+  // than the Env thread; the simulator applies every report directly.
+  if (!transport_.single_threaded()) {
     ControlPipeline::RegistryPtr reg = nullptr;
     STAB_OBS(reg = &metrics_);
-    pipeline_ = std::make_unique<ControlPipeline>(
-        n, std::max<size_t>(options_.pipeline_cell_types, types_.count()),
-        options_.pipeline_ring_capacity, reg);
-    STAB_OBS(pipeline_->set_trace(tracer_, options_.self,
-                                  [this] { return transport_.env().now(); }));
+    pipeline_ = std::make_unique<ControlPipeline>(n, reg);
     drain_gate_ = std::make_shared<DrainGate>();
     drain_gate_->owner = this;
-    inline_drain_ = transport_.single_threaded();
   }
   stall_last_acked_.assign(n, kNoSeq);
   stalled_.assign(n, false);
@@ -127,9 +124,6 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
   stream_epoch_.assign(n, 0);
   stream_primary_.resize(n);
   for (NodeId o = 0; o < n; ++o) stream_primary_[o] = o;
-  node_fenced_ = std::make_unique<std::atomic<bool>[]>(n);
-  for (NodeId o = 0; o < n; ++o)
-    node_fenced_[o].store(false, std::memory_order_relaxed);
   if (deferred_mode()) {
     deferred_ = std::make_unique<control::DeferredReporter>(n);
     same_az_.assign(n, false);
@@ -151,30 +145,17 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
 
   // Last: a transport may call the handler before set_receive_handler
   // returns, and the handler touches everything above.
-  if (pipeline_) {
-    transport_.set_receive_handler(
-        [this](NodeId src, BytesView frame, uint64_t wire_size) {
-          ingest_frame(src, frame, wire_size);
-        });
-    // The ingest path is lock-free, so the transport may call it straight
-    // from its receive thread instead of bouncing through an Env task.
-    if (!inline_drain_) transport_.set_direct_dispatch(true);
-  } else {
-    transport_.set_direct_dispatch(false);  // locked handler: never direct
-    transport_.set_receive_handler(
-        [this](NodeId src, BytesView frame, uint64_t wire_size) {
-          on_frame(src, frame, wire_size);
-        });
-  }
+  transport_.set_receive_handler(
+      [this](NodeId src, BytesView frame, uint64_t wire_size) {
+        on_frame(src, frame, wire_size);
+      });
 }
 
 Stabilizer::~Stabilizer() {
   // Unhook from the transport first: a crashed-and-destroyed node must not
   // receive callbacks into freed state while the rest of the cluster (and
   // the simulator's event queue) keeps running.
-  ingest_stopped_.store(true, std::memory_order_release);
   transport_.set_receive_handler(nullptr);
-  transport_.set_direct_dispatch(false);
   // Disarm any posted drain task: after `owner` is nulled under the gate
   // mutex, a task that fires later no-ops. A task already past the gate
   // check holds the gate mutex through its drain, so this store waits for
@@ -377,78 +358,9 @@ bool Stabilizer::admit_data(NodeId src, NodeId origin, PrimaryEpoch epoch) {
   return true;
 }
 
-// --- pipelined ingestion (DESIGN.md §4f) ------------------------------------
-
-void Stabilizer::ingest_frame(NodeId src, BytesView frame,
-                              uint64_t wire_size) {
-  // Receive-thread side: no facade lock, ever. A producer that blocked on
-  // mutex_ here would re-serialize the whole receive path (and an inline
-  // locked fallback could deadlock two nodes sending to each other while
-  // holding their own locks).
-  if (ingest_stopped_.load(std::memory_order_acquire)) return;
-  // Whole-node fence, lock-free flavor (same rule as on_frame's entry
-  // check): frames from a node this one knows to be deposed never reach the
-  // rings/cells. The flag publishes under the mutex; a frame racing the
-  // publication either folds harmlessly monotone acks or hits the locked
-  // check at drain time.
-  if (src < options_.topology.num_nodes() &&
-      node_fenced_[src].load(std::memory_order_relaxed)) {
-    STAB_OBS(ctr_.fenced_frames.inc());
-    // The tracer's own mutex makes this safe off the lock-free path; a
-    // fence drop is a rare fault-episode event, not hot-path traffic.
-    STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kFenceDrop, options_.self,
-               src, kNoSeq, src, "node_deposed");
-    return;
-  }
-
-  bool need_drain;
-  auto kind = data::peek_kind(frame);
-  if (kind && *kind == data::FrameKind::kAckBatch) {
-    // Decode on the receive thread and fold plain monotonic entries straight
-    // into the atomic cells. Entries carrying extra bytes (which must reach
-    // the matching eval) or out-of-grid coordinates route the whole frame
-    // through the ring instead, preserving the frame's internal order.
-    data::AckBatchFrame ack = data::decode_ack_batch(frame);
-    bool plain = ack.reporter < options_.topology.num_nodes();
-    if (plain) {
-      for (const data::AckEntry& e : ack.entries) {
-        if (!e.extra.empty() || e.type >= pipeline_->cell_types() ||
-            e.about_origin >= options_.topology.num_nodes()) {
-          plain = false;
-          break;
-        }
-      }
-    }
-    if (plain) {
-      bool any_advance = false;
-      for (const data::AckEntry& e : ack.entries) {
-        bool advanced = false;
-        pipeline_->offer_ack(e.about_origin, e.type, ack.reporter, e.seq,
-                             &advanced);
-        any_advance |= advanced;
-      }
-      STAB_OBS(if (!ack.entries.empty())
-                   ctr_.ack_entries_applied.inc(ack.entries.size()));
-      need_drain = any_advance;  // duplicates need no wakeup
-    } else {
-      pipeline_->push_frame(src, frame, wire_size);
-      need_drain = true;
-    }
-  } else {
-    pipeline_->push_frame(src, frame, wire_size);
-    need_drain = true;
-  }
-  if (need_drain) arm_drain();
-}
+// --- lock-free report cells (DESIGN.md §4f) ----------------------------------
 
 void Stabilizer::arm_drain() {
-  if (inline_drain_) {
-    // Single-threaded transport (the simulator): the ingest call is already
-    // on the only thread, so drain synchronously — same code path as the
-    // multi-threaded drain, deterministic schedule.
-    drain_pipeline_locked();
-    return;
-  }
   if (!pipeline_->try_arm()) return;  // a drain task is already outstanding
   auto gate = drain_gate_;
   transport_.env().post([gate] {
@@ -467,49 +379,26 @@ void Stabilizer::drain_pipeline() {
   if (draining_) return;  // re-entered from a callback; the outer loop covers
   draining_ = true;
   do {
-    // Disarm before popping: a producer racing this drain re-arms and posts
-    // a fresh task rather than stranding its events.
+    // Disarm before reading the cells: a producer racing this drain re-arms
+    // and posts a fresh task rather than stranding its report.
     pipeline_->disarm();
-
-    // Cells first: one coalesced on_ack_batch per origin. Cells with
-    // node == self are local report_stability fast-path entries — they must
-    // also flush to peers, which remote-reported cells must not (a node
-    // never re-broadcasts another reporter's acks).
-    std::vector<std::vector<AckUpdate>> per_origin(engines_.size());
-    struct SelfMark {
-      NodeId origin;
-      StabilityTypeId type;
-      SeqNum seq;
-    };
-    std::vector<SelfMark> self_marks;
-    size_t cells = pipeline_->drain_cells(
-        [&](NodeId origin, StabilityTypeId type, NodeId node, SeqNum seq) {
-          per_origin[origin].push_back(AckUpdate{type, node, seq, {}});
-          if (node == options_.self)
-            self_marks.push_back(SelfMark{origin, type, seq});
-        });
-    for (NodeId origin = 0; origin < per_origin.size(); ++origin)
-      if (!per_origin[origin].empty())
-        engines_[origin]->on_ack_batch(per_origin[origin]);
-    for (const SelfMark& m : self_marks)
-      mark_dirty(m.origin, m.type, m.seq, {});
-
-    // Then the frame rings: each event runs the ordinary locked dispatch
-    // (the mutex is recursive, so on_frame's lock_guard is free here).
-    size_t frames =
-        pipeline_->drain_frames([&](ControlPipeline::FrameEvent& ev) {
-          on_frame(ev.src, BytesView(ev.frame), ev.wire_size);
-        });
-
-    if (cells > 0) {
-      // handle_ack_batch does this for ring-routed ack frames; cell-routed
-      // acks need the same follow-up (acks free window space and may let
-      // the send buffer reclaim).
-      if (options_.send_window > 0) pump_all();
-      maybe_reclaim();
+    // One coalesced batch per origin, applied exactly like a locked report:
+    // into the engine, then out to peers. Local because callbacks fired by
+    // the batch may report again.
+    std::vector<AckUpdate> updates;
+    size_t cells = 0;
+    for (NodeId origin = 0; origin < engines_.size(); ++origin) {
+      updates.clear();
+      pipeline_->drain(origin, [&](StabilityTypeId type, SeqNum seq) {
+        updates.push_back(AckUpdate{type, options_.self, seq, {}});
+      });
+      if (updates.empty()) continue;
+      cells += updates.size();
+      engines_[origin]->on_ack_batch(updates);
+      for (const AckUpdate& u : updates) mark_dirty(origin, u.type, u.seq, {});
     }
-    pipeline_->record_drain(cells + frames);
-    // Re-check: producers kept appending while we applied, and a re-entrant
+    pipeline_->record_drain(cells);
+    // Re-check: producers kept offering while we applied, and a re-entrant
     // drain attempt from a callback no-op'd into this loop.
   } while (!stopped_ && pipeline_->has_pending());
   draining_ = false;
@@ -1061,9 +950,9 @@ void Stabilizer::stall_check() {
 
 Bytes Stabilizer::snapshot_control_state() const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  // Fold any pending pipeline state into the tables first, so the snapshot
-  // includes reports that were ingested but not yet drained (logically
-  // const: draining only applies already-received input).
+  // Fold any undrained report cells into the tables first, so the snapshot
+  // includes reports already made (logically const: draining only applies
+  // input the node already accepted).
   const_cast<Stabilizer*>(this)->drain_pipeline();
   Writer w(1024);
   w.u32(0x53544142);  // "STAB"
@@ -1141,8 +1030,6 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
         if (epoch > stream_epoch_[i]) {
           stream_epoch_[i] = epoch;
           stream_primary_[i] = primary;
-          node_fenced_[i].store(stream_primary_[i] != static_cast<NodeId>(i),
-                                std::memory_order_relaxed);
         }
       }
       if (stream_primary_[options_.self] != options_.self && !self_fenced_)
@@ -1278,53 +1165,53 @@ bool Stabilizer::has_predicate(const std::string& key) const {
 
 SeqNum Stabilizer::get_stability_frontier(const std::string& key,
                                           NodeId origin) const {
-  if (pipeline_) {
-    // Wait-free: one atomic snapshot load + one hash lookup + one atomic
-    // read, no mutex — an ack storm hammering the drain cannot delay this.
-    // An unpublished key means the predicate isn't (yet) registered, which
-    // is exactly the locked path's kNoSeq answer.
-    auto f = engines_[resolve_origin(origin)]->board().read(key);
-    return f ? *f : kNoSeq;
-  }
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return engines_[resolve_origin(origin)]->frontier(key);
+  // Wait-free: one atomic snapshot load + one hash lookup + one atomic read,
+  // no mutex — a callback holding the lock cannot delay this. An unpublished
+  // key means the predicate isn't registered: kNoSeq.
+  origin = resolve_origin(origin);
+  if (origin >= engines_.size()) return kNoSeq;
+  auto f = engines_[origin]->board().read(key);
+  return f ? *f : kNoSeq;
 }
 
 Status Stabilizer::monitor_stability_frontier(const std::string& key,
                                               MonitorFn fn, NodeId origin) {
+  origin = resolve_origin(origin);
+  if (origin >= engines_.size())
+    return Status::error("monitor_stability_frontier: bad origin");
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return engines_[resolve_origin(origin)]->monitor(key, std::move(fn));
+  return engines_[origin]->monitor(key, std::move(fn));
 }
 
 Status Stabilizer::waitfor(SeqNum seq, const std::string& key, WaiterFn fn,
                            NodeId origin) {
-  {
-    // Fenced fast-fail: once this node is deposed as its own stream's
-    // primary, no waitfor on that stream can ever be satisfied through us —
-    // the new authority re-sequences the suffix. Fire the fencing sentinel
-    // instead of parking a waiter that would hang forever.
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    if (self_fenced_ && resolve_origin(origin) == options_.self) {
-      STAB_OBS(ctr_.waiters_fenced.inc());
-      fn(kFencedSeq);
-      return Status::ok();
-    }
-  }
-  if (pipeline_) {
-    // Already-stable fast path: wait-free board read; fire immediately with
-    // no lock. Not yet stable (or key unpublished) falls through to the
-    // locked path, which re-checks the authoritative frontier under the
-    // mutex before parking the waiter — drains fire waiters under that same
-    // mutex, so there is no lost-wakeup window between the check and the
-    // registration.
-    auto f = engines_[resolve_origin(origin)]->board().read(key);
-    if (f && *f >= seq) {
-      fn(*f);
-      return Status::ok();
-    }
+  origin = resolve_origin(origin);
+  if (origin >= engines_.size()) return Status::error("waitfor: bad origin");
+  // Fenced fast-fail: once this node is deposed as its own stream's
+  // primary, no waitfor on that stream can ever be satisfied through us —
+  // the new authority re-sequences the suffix. Fire the fencing sentinel
+  // instead of parking a waiter that would hang forever.
+  auto fenced = [&] {
+    if (origin != options_.self || !self_fenced_.load()) return false;
+    STAB_OBS(ctr_.waiters_fenced.inc());
+    fn(kFencedSeq);
+    return true;
+  };
+  if (fenced()) return Status::ok();
+  // Already-stable fast path: wait-free board read; fire immediately with
+  // no lock. Not yet stable (or key unpublished) falls through to the
+  // locked path, which re-checks the fence and the authoritative frontier
+  // under the mutex before parking the waiter — fence_self and every
+  // frontier advance fire waiters under that same mutex, so there is no
+  // lost-wakeup window between the check and the registration.
+  auto f = engines_[origin]->board().read(key);
+  if (f && *f >= seq) {
+    fn(*f);
+    return Status::ok();
   }
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return engines_[resolve_origin(origin)]->waitfor(key, seq, std::move(fn));
+  if (fenced()) return Status::ok();
+  return engines_[origin]->waitfor(key, seq, std::move(fn));
 }
 
 bool Stabilizer::waitfor_blocking(SeqNum seq, const std::string& key,
@@ -1342,8 +1229,9 @@ Stabilizer::WaitStatus Stabilizer::waitfor_blocking_status(SeqNum seq,
   // remove_predicate has consumed it yet) writes into live, private memory —
   // never into a dangling stack frame. The late fire is then simply unheard.
   //
-  // No lost wakeup: waitfor()'s already-stable check and the waiter
-  // registration happen under the API mutex, and every waiter fire
+  // No lost wakeup: waitfor() re-checks coverage and registers the waiter
+  // under the API mutex (its lock-free check only ever fires the callback
+  // early, here on this thread), and every waiter fire
   // (coverage from a drain/ack, cancellation via remove_predicate, or a
   // failover fence via fail_all_waiters) runs under that same mutex. A fire
   // that races this thread between registration and wait_for() lands before
@@ -1385,28 +1273,24 @@ Stabilizer::WaitStatus Stabilizer::waitfor_blocking_status(SeqNum seq,
 Status Stabilizer::report_stability(const std::string& type_name,
                                     NodeId origin, SeqNum seq,
                                     BytesView extra) {
+  origin = resolve_origin(origin);
+  if (origin >= engines_.size())
+    return Status::error("report_stability: bad origin");
   if (pipeline_ && extra.empty()) {
-    // Lock-free fast path: resolve the type against the registry's published
-    // snapshot and fold the report into the atomic cells; the drain applies
-    // it (and flushes it to peers — node == self cells mark_dirty there).
-    // Unknown types (registration needed), out-of-grid types, and reports
-    // carrying extra bytes take the locked path below.
-    NodeId o = origin == kInvalidNode ? options_.self : origin;
-    if (o >= engines_.size())
-      return Status::error("report_stability: bad origin");
-    auto type = types_.find_fast(type_name);
-    if (type && *type < pipeline_->cell_types()) {
+    // Lock-free: resolve the type against the registry's published snapshot
+    // and fold the report into the atomic cells; the drain applies it and
+    // flushes it to peers. Unknown types (registration needed), types
+    // beyond the cells, and reports carrying extra bytes take the locked
+    // path below.
+    if (auto type = types_.find_fast(type_name)) {
       bool advanced = false;
-      if (pipeline_->offer_ack(o, *type, options_.self, seq, &advanced)) {
+      if (pipeline_->offer(origin, *type, seq, &advanced)) {
         if (advanced) arm_drain();
         return Status::ok();
       }
     }
   }
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  if (origin == kInvalidNode) origin = options_.self;
-  if (origin >= engines_.size())
-    return Status::error("report_stability: bad origin");
   StabilityTypeId type = types_.get_or_register(type_name);
   engines_[origin]->on_ack(type, options_.self, seq,
                            BytesView(extra.data(), extra.size()));
@@ -1442,18 +1326,15 @@ bool Stabilizer::peer_excluded(NodeId node) const {
 
 PrimaryEpoch Stabilizer::stream_epoch(NodeId origin) const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return stream_epoch_[resolve_origin(origin)];
+  return stream_epoch_.at(resolve_origin(origin));
 }
 
 NodeId Stabilizer::stream_primary(NodeId origin) const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return stream_primary_[resolve_origin(origin)];
+  return stream_primary_.at(resolve_origin(origin));
 }
 
-bool Stabilizer::self_fenced() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return self_fenced_;
-}
+bool Stabilizer::self_fenced() const { return self_fenced_.load(); }
 
 bool Stabilizer::is_acting_primary(NodeId origin) const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
@@ -1486,10 +1367,6 @@ Status Stabilizer::adopt_stream(NodeId origin, SeqNum start_seq,
     stream_primary_[origin] = options_.self;
     STAB_OBS(ctr_.takeovers_observed.inc());
   }
-  // The deposed origin is now a zombie for every frame kind (whole-node
-  // fence; the pipelined ingest path reads the atomic flag).
-  node_fenced_[origin].store(true, std::memory_order_relaxed);
-
   adopted_.erase(origin);
   adopted_.try_emplace(origin, *this, origin, start_seq);
 
@@ -1524,9 +1401,6 @@ Status Stabilizer::observe_takeover(NodeId origin, NodeId new_primary,
   stream_epoch_[origin] = epoch;
   stream_primary_[origin] = new_primary;
   STAB_OBS(ctr_.takeovers_observed.inc());
-  // Whole-node fence applies when a node loses its OWN stream: the cluster
-  // declared it dead, so everything it emits from here on is zombie output.
-  node_fenced_[origin].store(new_primary != origin, std::memory_order_relaxed);
 
   if (origin == options_.self) {
     // We are the one being deposed. Silence ourselves: no new sends, and
@@ -1599,8 +1473,8 @@ SeqNum Stabilizer::last_sent() const {
 
 StabilizerStats Stabilizer::stats() const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  // Same logically-const fold as snapshot_control_state: apply pending
-  // pipeline input so the eval counters reflect everything received.
+  // Same logically-const fold as snapshot_control_state: apply undrained
+  // report cells so the eval counters reflect every report made.
   const_cast<Stabilizer*>(this)->drain_pipeline();
   StabilizerStats s;
   STAB_OBS({
@@ -1662,10 +1536,10 @@ bool Stabilizer::resume_pending(NodeId peer) const {
 }
 
 FrontierEngine& Stabilizer::engine(NodeId origin) {
-  return *engines_[resolve_origin(origin)];
+  return *engines_.at(resolve_origin(origin));
 }
 const FrontierEngine& Stabilizer::engine(NodeId origin) const {
-  return *engines_[resolve_origin(origin)];
+  return *engines_.at(resolve_origin(origin));
 }
 
 }  // namespace stab

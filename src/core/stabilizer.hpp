@@ -32,13 +32,15 @@
 // A plain std::mutex would deadlock on every one of these, since all
 // callbacks are invoked while the API lock is held.
 //
-// PipelineMode::kPipelined (DESIGN.md §4f) relaxes the receive side of this
-// model: transport receive threads no longer take the mutex (they feed
-// lock-free rings/cells and a posted drain applies everything under the
-// lock), get_stability_frontier and the waitfor fast path are wait-free
-// reads of a published snapshot, and report_stability without extra bytes
-// is lock-free. User callbacks still always run under the mutex, on the Env
-// thread — the re-entrancy contract above is unchanged.
+// Three application-facing calls stay off the mutex (DESIGN.md §4f):
+// get_stability_frontier and the waitfor already-stable check read a
+// wait-free frontier board (an already-stable waitfor fires its callback on
+// the calling thread), and on a multi-threaded transport a report_stability
+// with no extra bytes folds into lock-free cells that a posted drain applies
+// under the mutex — such a report becomes visible at the next drain, not
+// within the reporting call, so sequence against it with waitfor or a
+// monitor. Every received frame, and every other callback, is processed
+// under the mutex on the Env thread; the re-entrancy contract above holds.
 #pragma once
 
 #include <atomic>
@@ -142,29 +144,6 @@ struct StabilizerOptions {
   /// headers). Messages too large to fit ride alone: coalescing exists to
   /// amortize per-frame overhead that large payloads already amortize.
   size_t coalesce_max_bytes = 16 * 1024;
-
-  /// Control-plane threading (DESIGN.md §4f). kLegacyLocked (the default,
-  /// the seed behaviour and the differential baseline): every received frame
-  /// is processed under the API mutex on the Env thread. kPipelined:
-  /// transport receive threads fold plain monotonic ack entries into
-  /// lock-free per-origin cells and copy all other frames into per-source
-  /// SPSC rings; a posted drain task applies them in batches under the
-  /// mutex, get_stability_frontier and the waitfor already-stable check
-  /// read a wait-free frontier snapshot, and report_stability with no extra
-  /// bytes is lock-free. Pipelined visibility rules: a report becomes
-  /// observable at the next drain, not synchronously within the reporting
-  /// call — use waitfor/monitors, not back-to-back report-then-read, to
-  /// sequence against it. On a single_threaded() transport (the simulator)
-  /// the drain runs inline, keeping the schedule deterministic and
-  /// digest-comparable with kLegacyLocked.
-  enum class PipelineMode { kLegacyLocked, kPipelined };
-  PipelineMode pipeline_mode = PipelineMode::kLegacyLocked;
-  /// Pipelined-mode tuning: per-source ingestion-ring capacity (frames) and
-  /// the per-origin ack-cell grid's stability-type capacity (reports of
-  /// types registered beyond it take the ring path — correctness is
-  /// unaffected, only the lock-free shortcut).
-  size_t pipeline_ring_capacity = 1024;
-  size_t pipeline_cell_types = 16;
 
   /// Automatically report the "delivered" level after the application
   /// upcall returns.
@@ -336,14 +315,20 @@ class Stabilizer {
   bool has_predicate(const std::string& key) const;
 
   /// Current frontier of `key` for `origin`'s stream (default: own stream).
+  /// Wait-free: never takes the API lock. kNoSeq for an unregistered key or
+  /// an origin outside the topology.
   SeqNum get_stability_frontier(const std::string& key,
                                 NodeId origin = kInvalidNode) const;
 
   /// Calls `fn` every time `key`'s frontier advances on `origin`'s stream.
+  /// Fails for an unregistered key or an origin outside the topology.
   Status monitor_stability_frontier(const std::string& key, MonitorFn fn,
                                     NodeId origin = kInvalidNode);
 
-  /// One-shot: calls `fn` when frontier(key) >= seq (immediately if so).
+  /// One-shot: calls `fn` when frontier(key) >= seq — immediately, on the
+  /// calling thread and without the API lock, if it already is. Fails, and
+  /// never calls `fn`, for an unregistered key or an origin outside the
+  /// topology.
   Status waitfor(SeqNum seq, const std::string& key, WaiterFn fn,
                  NodeId origin = kInvalidNode);
 
@@ -434,7 +419,9 @@ class Stabilizer {
   // in src/failover and drives these three calls.
 
   /// Epoch of `origin`'s stream as learned by this node (0 = the configured
-  /// origin still holds it). Default origin: own stream.
+  /// origin still holds it). Default origin: own stream. This and
+  /// stream_primary() throw std::out_of_range for an origin outside the
+  /// topology.
   PrimaryEpoch stream_epoch(NodeId origin = kInvalidNode) const;
   /// Node currently holding sequencing authority for `origin`'s stream.
   NodeId stream_primary(NodeId origin = kInvalidNode) const;
@@ -486,11 +473,16 @@ class Stabilizer {
   uint64_t peer_session_epoch(NodeId peer) const;
   /// True while our RESUME announcement to `peer` awaits confirmation.
   bool resume_pending(NodeId peer) const;
+  /// `origin`'s engine (default: own stream); throws std::out_of_range for
+  /// an origin outside the topology.
   FrontierEngine& engine(NodeId origin = kInvalidNode);
   const FrontierEngine& engine(NodeId origin = kInvalidNode) const;
   StabilityTypeRegistry& types() { return types_; }
 
  private:
+  /// The stream an API call names: `origin`, or this node's own stream
+  /// for kInvalidNode. Not range-checked; callers check against
+  /// engines_.size() or index with .at().
   NodeId resolve_origin(NodeId origin) const {
     return origin == kInvalidNode ? options_.self : origin;
   }
@@ -554,18 +546,12 @@ class Stabilizer {
   void apply_takeover_cursor(NodeId origin, SeqNum start_seq,
                              bool allow_rollback = true);
 
-  // --- pipelined control plane (DESIGN.md §4f) -------------------------------
-  /// Receive-thread entry in kPipelined mode. Lock-free: folds plain ack
-  /// entries into the pipeline's cells, copies everything else into the
-  /// source's ring, then arms (or, on a single-threaded transport, runs)
-  /// the drain. NEVER takes mutex_.
-  void ingest_frame(NodeId src, BytesView frame, uint64_t wire_size);
-  /// Schedules one drain task onto the Env thread (at most one outstanding),
-  /// or drains inline when the transport is single-threaded.
+  // --- lock-free report cells (DESIGN.md §4f) ----------------------------------
+  /// Schedules one drain task onto the Env thread (at most one outstanding).
   void arm_drain();
-  /// Applies everything the pipeline holds, in batches, until quiescent.
-  /// Caller must hold mutex_; re-entrant calls (a delivery handler sending)
-  /// no-op and the outer drain loops until the pipeline is empty.
+  /// Applies every report the cells hold, in one batch per origin, until
+  /// they are clean. Caller must hold mutex_; re-entrant calls (a callback
+  /// reading stats()) no-op and the outer drain loops until quiescent.
   void drain_pipeline();
   void drain_pipeline_locked();
 
@@ -618,35 +604,28 @@ class Stabilizer {
   std::vector<bool> resume_pending_;
   bool stopped_ = false;
 
-  // Primary-failover state (all under mutex_ except node_fenced_).
+  // Primary-failover state (under mutex_).
   // stream_epoch_[o] / stream_primary_[o]: the newest sequencing authority
   // this node has learned for origin o's stream (epoch 0, primary o at
   // construction).
   std::vector<PrimaryEpoch> stream_epoch_;
   std::vector<NodeId> stream_primary_;
-  bool self_fenced_ = false;
-  // Lock-free mirror of "node x was deposed from its own stream" for the
-  // pipelined ingest path (which must not take mutex_): a fenced node's
-  // frames are dropped before touching the rings/cells. Set under mutex_,
-  // read relaxed from receive threads — a frame slipping through the brief
-  // publication window still hits the locked epoch checks at drain time;
-  // only the ack-cell fast path can absorb a few stale (but truthful,
-  // monotonic) ack entries, which is harmless.
-  std::unique_ptr<std::atomic<bool>[]> node_fenced_;
+  // Written under mutex_; waitfor reads it without the lock first, then
+  // re-checks under the lock before parking a waiter.
+  std::atomic<bool> self_fenced_{false};
 
-  // Pipelined control plane (null in kLegacyLocked mode). The drain gate
-  // lets posted drain tasks outlive the Stabilizer safely: tasks lock the
-  // gate and check `owner` before touching `this`; the destructor nulls
-  // `owner` under the gate mutex (lock order: gate -> mutex_, everywhere).
+  // Report cells and their drain (null on a single_threaded() transport,
+  // where reports apply directly). The drain gate lets posted drain tasks
+  // outlive the Stabilizer safely: tasks lock the gate and check `owner`
+  // before touching `this`; the destructor nulls `owner` under the gate
+  // mutex (lock order: gate -> mutex_, everywhere).
   struct DrainGate {
     std::mutex m;
     Stabilizer* owner = nullptr;
   };
   std::unique_ptr<ControlPipeline> pipeline_;
   std::shared_ptr<DrainGate> drain_gate_;
-  bool inline_drain_ = false;  // single-threaded transport: drain in ingest
-  bool draining_ = false;      // re-entrancy guard, under mutex_
-  std::atomic<bool> ingest_stopped_{false};
+  bool draining_ = false;  // re-entrancy guard, under mutex_
 
 #if STAB_OBS_ENABLED
   /// One relaxed-atomic counter per StabilizerStats field (plus the two core

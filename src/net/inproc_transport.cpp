@@ -12,8 +12,8 @@ InProcTransport::InProcTransport(InProcCluster& cluster, NodeId self)
 size_t InProcTransport::cluster_size() const { return cluster_.size(); }
 
 void InProcTransport::set_receive_handler(ReceiveHandler handler) {
-  // Disarm, then wait for in-flight dispatches on other threads (env tasks,
-  // direct-dispatch senders) to finish before touching the function object:
+  // Disarm, then wait for an in-flight dispatch on the Env thread to finish
+  // before touching the function object:
   // ~Stabilizer clears the handler while the rest of the cluster keeps
   // delivering, and an invocation racing the swap would call into freed
   // state. seq_cst pairs with the count-then-check in dispatch().
@@ -78,14 +78,6 @@ void InProcCluster::deliver(NodeId src, NodeId dst,
   if (wire_size < frame->size()) wire_size = frame->size();
   Duration lat = latency_[src * size() + dst];
   InProcTransport* t = transports_[dst].get();
-  // Direct dispatch: zero-latency links skip the destination Env queue and
-  // invoke the handler on this (sender's) thread. Only enabled when the
-  // receiver's handler is lock-free re-entrant (pipelined ingest).
-  if (lat == Duration::zero() &&
-      t->direct_dispatch_.load(std::memory_order_acquire)) {
-    t->dispatch(src, BytesView(*frame), wire_size);
-    return;
-  }
   // Queue-depth gauge: frames scheduled on a destination Env but not yet
   // handed to its receive handler, summed over the cluster.
   STAB_OBS({

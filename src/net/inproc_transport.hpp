@@ -26,18 +26,11 @@ class InProcTransport final : public Transport {
   void send_shared(NodeId dst, std::shared_ptr<const Bytes> frame,
                    uint64_t wire_size = 0) override;
   Env& env() override;
-  // Zero-latency links hand the frame to the receiver's handler on the
-  // SENDER's thread, skipping the destination Env queue entirely. Requires
-  // a lock-free re-entrant handler (the pipelined ingest path); links with
-  // configured latency still go through the destination Env for timing.
-  void set_direct_dispatch(bool on) override {
-    direct_dispatch_.store(on, std::memory_order_release);
-  }
 
  private:
   friend class InProcCluster;
-  // Gated handler invocation (both the env-queued and direct-dispatch
-  // delivery paths): bump the in-flight count, check the armed flag, call.
+  // Gated handler invocation on the destination Env thread: bump the
+  // in-flight count, check the armed flag, call.
   // set_receive_handler(nullptr) disarms and waits for the count to drain
   // before destroying the function object, so a tearing-down Stabilizer
   // never races an invocation into freed state.
@@ -47,7 +40,6 @@ class InProcTransport final : public Transport {
   ReceiveHandler handler_;  // written only while disarmed and drained
   std::atomic<bool> handler_armed_{false};
   std::atomic<uint32_t> dispatches_in_flight_{0};
-  std::atomic<bool> direct_dispatch_{false};
 };
 
 class InProcCluster {

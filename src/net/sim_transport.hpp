@@ -27,8 +27,8 @@ class SimTransport final : public Transport {
   void send_shared(NodeId dst, std::shared_ptr<const Bytes> frame,
                    uint64_t wire_size = 0) override;
   Env& env() override { return simulator_; }
-  // All sim deliveries run on the single simulator thread, so the pipelined
-  // core drains inline and stays schedule-deterministic.
+  // All sim deliveries run on the single simulator thread, so the core
+  // applies reports directly and stays schedule-deterministic.
   bool single_threaded() const override { return true; }
 
   /// Crash-simulation hooks. detach() models the process dying: the node is

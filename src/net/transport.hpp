@@ -79,20 +79,17 @@ class Transport {
   /// users; scheduling into it is thread-safe per the Env contract.
   virtual Env& env() = 0;
 
-  /// True when every ReceiveHandler invocation is serialized with all other
-  /// work on this node (the simulator's single virtual thread). The
-  /// pipelined Stabilizer uses this to drain its ingestion rings inline —
-  /// same code path, deterministic schedule (DESIGN.md §4f).
+  /// True when every ReceiveHandler invocation, and every other call into
+  /// this node, is serialized on one thread (the simulator's single virtual
+  /// thread). The Stabilizer then applies report_stability directly instead
+  /// of through its lock-free report cells and posted drain, which keeps the
+  /// simulator's schedule deterministic (DESIGN.md §4f).
   virtual bool single_threaded() const { return false; }
 
-  /// Ask the transport to invoke the ReceiveHandler directly on the thread
-  /// that produced the frame (InProc: the sender's thread for zero-latency
-  /// links) instead of bouncing through an Env task. Only safe when the
-  /// installed handler is lock-free re-entrant — the pipelined Stabilizer's
-  /// ingest path is; the legacy locked path is NOT (the handler takes the
-  /// same mutex user threads hold while calling send(), which re-enters the
-  /// transport). Default: ignored. Tcp has nothing to skip: its frames
-  /// already arrive on the Env thread.
+  /// No-op, kept declared because perfbench's ProbeTransport
+  /// (perfbench/src/harness.hpp) still overrides it. Every transport hands
+  /// received frames to the node's Env thread, and no implementation or
+  /// caller in the library uses it.
   virtual void set_direct_dispatch(bool) {}
 };
 

@@ -16,7 +16,6 @@ const char* span_event_name(SpanEvent ev) {
     case SpanEvent::kPromote: return "promote";
     case SpanEvent::kTakeoverApply: return "takeover_apply";
     case SpanEvent::kFenceDrop: return "fence_drop";
-    case SpanEvent::kRingStall: return "ring_stall";
   }
   return "unknown";
 }

@@ -48,8 +48,6 @@ enum class SpanEvent : uint8_t {
   kPromote = 7,        // this node won promotion (seq = adopted start seq)
   kTakeoverApply = 8,  // a TAKEOVER was applied (peer = new primary)
   kFenceDrop = 9,      // a frame was fenced (detail = reason)
-  // Pipelined-ingestion back-pressure (peer = source whose ring filled):
-  kRingStall = 10,
 };
 
 /// Bit mask of SpanEvents a Tracer subscribes to.
@@ -57,11 +55,11 @@ using EventMask = uint32_t;
 inline constexpr EventMask event_bit(SpanEvent ev) {
   return EventMask{1} << static_cast<uint8_t>(ev);
 }
-inline constexpr EventMask kAllEvents = 0x7FF;
+inline constexpr EventMask kAllEvents = 0x3FF;
 /// The five message-lifecycle spans (the pre-failover event set) — chaos
 /// campaigns that only care about per-message timelines subscribe to these.
 inline constexpr EventMask kLifecycleEvents = 0x1F;
-/// The failover / back-pressure episode markers.
+/// The failover episode markers.
 inline constexpr EventMask kEpisodeEvents = kAllEvents & ~kLifecycleEvents;
 
 const char* span_event_name(SpanEvent ev);

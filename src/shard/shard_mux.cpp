@@ -14,7 +14,6 @@ class ShardMux::Facet : public Transport {
   size_t cluster_size() const override { return base_.cluster_size(); }
   Env& env() override { return base_.env(); }
   bool single_threaded() const override { return base_.single_threaded(); }
-  void set_direct_dispatch(bool on) override { base_.set_direct_dispatch(on); }
 
   void set_receive_handler(ReceiveHandler handler) override {
     if (handler) {

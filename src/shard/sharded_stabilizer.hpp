@@ -2,7 +2,7 @@
 //
 // One ShardedStabilizer per WAN node scales the single-sequencer core out
 // across N keyspace shards. Each shard is a full Stabilizer instance — its
-// own primary-site Sequencer, send ring (OutBuffer), AckTable + pipelined
+// own primary-site Sequencer, send ring (OutBuffer), AckTable +
 // FrontierEngines, and its own primary epoch — so:
 //
 //   * N independent sequence spaces issue in parallel (the send path of

@@ -407,27 +407,6 @@ TEST(ChaosCampaign, LegacyScanAgreesWithIndexedPostHeal) {
   EXPECT_EQ(indexed->core_digest(), legacy->core_digest());
 }
 
-// The pipelined control plane coalesces ack ingestion through atomic cells
-// and defers work to a drain, but must land on the same application-visible
-// state as the locked path. Over the sim transport the pipeline drains
-// inline (single_threaded transport), so the whole campaign — crash,
-// snapshot/RESUME rejoin, partition, loss — stays deterministic and the
-// post-heal core digests must be byte-identical.
-TEST(ChaosCampaign, PipelinedAgreesWithLockedPostHeal) {
-  StabilizerOptions piped = chaos_base_options();
-  piped.pipeline_mode = StabilizerOptions::PipelineMode::kPipelined;
-  auto pipelined = run_scripted(0xC0FFEE, DispatchMode::kIndexed, piped);
-  auto locked = run_scripted(0xC0FFEE, DispatchMode::kIndexed);
-  pipelined->check_converged();
-  locked->check_converged();
-  EXPECT_EQ(pipelined->core_digest(), locked->core_digest());
-
-  // Pipelined campaigns replay deterministically per seed, like every
-  // other mode (the sweep below relies on this for its replay marker).
-  auto again = run_scripted(0xC0FFEE, DispatchMode::kIndexed, piped);
-  EXPECT_EQ(pipelined->core_digest(), again->core_digest());
-}
-
 // --- deferred stability propagation (DESIGN.md §10) ---------------------------
 //
 // Deferred mode trades propagation latency for control bandwidth: mirrors
@@ -689,11 +668,6 @@ void run_random_campaign(uint64_t seed) {
   // scripted campaigns above keep the uncoalesced path covered.
   StabilizerOptions base = chaos_base_options();
   base.coalesce_max_frames = 16;
-  // Odd seeds run the pipelined control plane so the sweep exercises both
-  // ingestion paths under the same fault mix (sim drains inline, so the
-  // campaign stays seed-deterministic either way).
-  if (seed % 2 == 1)
-    base.pipeline_mode = StabilizerOptions::PipelineMode::kPipelined;
   ChaosCluster c(chaos_mesh(n, regions), std::move(base), seed,
                  DispatchMode::kIndexed, chaos_predicates());
   c.chaos->arm(script);
@@ -829,8 +803,8 @@ TEST(ChaosStats, LossCampaignSurfacesRetransmitPair) {
 //   * per-shard failover domains — deposing one shard's primary fences
 //     exactly that shard's waiters while the other shard's frontier keeps
 //     advancing through the fault window, and
-//   * per-shard digest stability — the pipelined control plane lands every
-//     shard on the same post-heal state as the locked baseline, per seed.
+//   * per-shard digest stability — a seeded loss + partition campaign
+//     replays to the same post-heal state on every shard.
 
 /// 3 nodes x 2 shards in scale-out shape. Shard 1's network carries the
 /// chaos schedule; shard 0's stays clean unless a second schedule is armed.
@@ -1019,13 +993,12 @@ TEST(ShardedChaos, DeposedShardPrimaryFencesOnlyThatShard) {
   }
 }
 
-// Per-shard digest stability: the same seeded loss + partition campaign,
-// run with the pipelined control plane and with the locked baseline, lands
-// every shard on byte-identical post-heal state — and replays of the
-// pipelined run are deterministic per seed.
-TEST(ShardedChaos, PipelinedMatchesLockedPerShardDigest) {
-  auto run = [](uint64_t seed, StabilizerOptions base) {
-    auto c = std::make_unique<ShardedChaosCluster>(seed, std::move(base),
+// Per-shard digest stability: the same seeded loss + partition campaign
+// replays to byte-identical post-heal state on every shard, and converges
+// on real state, not on empty logs.
+TEST(ShardedChaos, PerShardDigestReplaysPerSeed) {
+  auto run = [](uint64_t seed) {
+    auto c = std::make_unique<ShardedChaosCluster>(seed, chaos_base_options(),
                                                    /*with_failover=*/false);
     for (uint32_t s = 0; s < ShardedChaosCluster::kShards; ++s) {
       ChaosScript script;
@@ -1045,22 +1018,13 @@ TEST(ShardedChaos, PipelinedMatchesLockedPerShardDigest) {
     return c;
   };
 
-  StabilizerOptions piped = chaos_base_options();
-  piped.pipeline_mode = StabilizerOptions::PipelineMode::kPipelined;
-  auto pipelined = run(0xD15C, piped);
-  auto locked = run(0xD15C, chaos_base_options());
+  auto first = run(0xD15C);
+  auto again = run(0xD15C);
   for (uint32_t s = 0; s < ShardedChaosCluster::kShards; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
-    const std::string digest = pipelined->shard_digest(s);
-    EXPECT_EQ(digest, locked->shard_digest(s));
-    // The campaign converged on real state, not on empty logs.
-    EXPECT_GT(pipelined->logs[1][s][0].size(), 0u);
+    EXPECT_EQ(first->shard_digest(s), again->shard_digest(s));
+    EXPECT_GT(first->logs[1][s][0].size(), 0u);
   }
-
-  auto again = run(0xD15C, piped);
-  for (uint32_t s = 0; s < ShardedChaosCluster::kShards; ++s)
-    EXPECT_EQ(pipelined->shard_digest(s), again->shard_digest(s))
-        << "shard " << s;
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "common/realtime_env.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
-#include "common/spsc_ring.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -366,56 +365,6 @@ TEST(RealtimeEnv, FdRemovedByAnEarlierCallbackIsNotCalled) {
   close(a);
   close(b);
   EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(SpscRing, CapacityRoundsUpAndSingleThreadFifo) {
-  SpscRing<int> ring(5);  // rounds up: usable capacity >= 5
-  EXPECT_GE(ring.capacity(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.try_push(int(i)));
-  int v = -1;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-  EXPECT_TRUE(ring.empty_approx());
-}
-
-TEST(SpscRing, FullRingRefusesAndRecoversAcrossWrap) {
-  SpscRing<int> ring(2);  // allocates 4 slots, 3 usable
-  const size_t cap = ring.capacity();
-  // Fill / half-drain repeatedly so the indices wrap the mask several times.
-  int v;
-  for (int round = 0; round < 10; ++round) {
-    size_t pushed = 0;
-    while (ring.try_push(int(round * 100 + static_cast<int>(pushed))))
-      ++pushed;
-    EXPECT_EQ(pushed, cap);  // fills to capacity exactly
-    EXPECT_EQ(ring.size_approx(), cap);
-    EXPECT_FALSE(ring.try_push(999));  // full refuses, never overwrites
-    while (ring.try_pop(v)) {
-    }
-  }
-  EXPECT_TRUE(ring.empty_approx());
-}
-
-TEST(SpscRing, TwoThreadsTransferEverythingInOrder) {
-  SpscRing<uint64_t> ring(256);
-  constexpr uint64_t kCount = 200000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kCount; ++i)
-      while (!ring.try_push(uint64_t(i))) std::this_thread::yield();
-  });
-  uint64_t expect = 0;
-  while (expect < kCount) {
-    uint64_t v;
-    if (ring.try_pop(v)) {
-      ASSERT_EQ(v, expect);  // FIFO, no loss, no duplication
-      ++expect;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty_approx());
 }
 
 }  // namespace

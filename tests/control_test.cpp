@@ -513,7 +513,7 @@ TEST(FrontierProperty, IncrementalMatchesFromScratch) {
   }
 }
 
-// --- pipelined-path primitives (DESIGN.md §4f) --------------------------------
+// --- lock-free control-plane primitives (DESIGN.md §4f) -----------------------
 
 TEST(StabilityTypes, FindFastMatchesFindAcrossRegistrations) {
   StabilityTypeRegistry reg;
@@ -527,43 +527,42 @@ TEST(StabilityTypes, FindFastMatchesFindAcrossRegistrations) {
 }
 
 TEST(AckCellBlock, DrainCoalescesToFinalValue) {
-  AckCellBlock block(2, 4);
+  AckCellBlock block(2);
   bool adv = false;
   EXPECT_FALSE(block.dirty());
-  ASSERT_TRUE(block.offer(0, 1, 5, &adv));
+  ASSERT_TRUE(block.offer(1, 5, &adv));
   EXPECT_TRUE(adv);
-  ASSERT_TRUE(block.offer(0, 1, 9, &adv));  // overwrites 5 in place
+  ASSERT_TRUE(block.offer(1, 9, &adv));  // overwrites 5 in place
   EXPECT_TRUE(adv);
-  ASSERT_TRUE(block.offer(0, 1, 7, &adv));  // regression: ignored
+  ASSERT_TRUE(block.offer(1, 7, &adv));  // regression: ignored
   EXPECT_FALSE(adv);
   EXPECT_TRUE(block.dirty());
 
-  std::vector<std::tuple<StabilityTypeId, NodeId, SeqNum>> got;
-  size_t n = block.drain(
-      [&](StabilityTypeId t, NodeId node, SeqNum s) { got.emplace_back(t, node, s); });
+  std::vector<std::pair<StabilityTypeId, SeqNum>> got;
+  size_t n =
+      block.drain([&](StabilityTypeId t, SeqNum s) { got.emplace_back(t, s); });
   EXPECT_EQ(n, 1u);  // two advances coalesce into one emitted cell
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], std::make_tuple(StabilityTypeId(0), NodeId(1), SeqNum(9)));
+  EXPECT_EQ(got[0], std::make_pair(StabilityTypeId(1), SeqNum(9)));
   EXPECT_FALSE(block.dirty());
   // A second drain with no new offers emits nothing.
-  EXPECT_EQ(block.drain([&](StabilityTypeId, NodeId, SeqNum) { FAIL(); }), 0u);
+  EXPECT_EQ(block.drain([&](StabilityTypeId, SeqNum) { FAIL(); }), 0u);
 }
 
-TEST(AckCellBlock, OutOfGridOffersRefused) {
-  AckCellBlock block(2, 4);
+TEST(AckCellBlock, OutOfRowOffersRefused) {
+  AckCellBlock block(2);
   bool adv = true;
-  EXPECT_FALSE(block.offer(2, 0, 1, &adv));  // type beyond grid
+  EXPECT_FALSE(block.offer(2, 1, &adv));  // type beyond the row
   EXPECT_FALSE(adv);
-  EXPECT_FALSE(block.offer(0, 4, 1, &adv));  // node beyond grid
   EXPECT_FALSE(block.dirty());
 }
 
 TEST(AckCellBlock, ConcurrentOffersConvergeToMax) {
-  AckCellBlock block(1, 2);
+  AckCellBlock block(2);
   constexpr int kPerThread = 20000;
-  auto hammer = [&](NodeId node) {
+  auto hammer = [&](StabilityTypeId type) {
     bool adv;
-    for (int i = 1; i <= kPerThread; ++i) block.offer(0, node, i, &adv);
+    for (int i = 1; i <= kPerThread; ++i) block.offer(type, i, &adv);
   };
   std::thread a([&] { hammer(0); });
   std::thread b([&] { hammer(1); });
@@ -572,7 +571,7 @@ TEST(AckCellBlock, ConcurrentOffersConvergeToMax) {
   b.join();
   c.join();
   std::vector<SeqNum> final(2, kNoSeq);
-  block.drain([&](StabilityTypeId, NodeId n, SeqNum s) { final[n] = s; });
+  block.drain([&](StabilityTypeId t, SeqNum s) { final[t] = s; });
   EXPECT_EQ(final[0], kPerThread);
   EXPECT_EQ(final[1], kPerThread);
 }

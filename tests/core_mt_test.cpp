@@ -1,17 +1,17 @@
-// Concurrent-facade tests for PipelineMode::kPipelined over the in-process
-// transport: real threads driving send / report_stability / waitfor /
-// get_stability_frontier / monitor_stability_frontier against one node at
-// once, with the receive path running lock-free ingestion (DESIGN.md §4f).
-//
-// Zero-latency InProc links use direct dispatch — the sender's thread runs
-// the receiver's ingest handler — so these tests exercise the full
-// multi-producer story: N-1 peer threads folding acks into the atomic cells
-// concurrently with local API threads reading the wait-free board.
+// Concurrent-facade tests over the in-process transport: real threads
+// driving send / report_stability / waitfor / get_stability_frontier /
+// monitor_stability_frontier against one node at once (DESIGN.md §4f).
+// Plain reports from application threads fold into the lock-free report
+// cells, frontier reads come from the wait-free board, and peers' frames
+// arrive on each node's Env thread under the API mutex.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -20,8 +20,6 @@
 
 namespace stab {
 namespace {
-
-using PipelineMode = StabilizerOptions::PipelineMode;
 
 Topology mesh_topology(size_t n, double lat_ms) {
   Topology t;
@@ -35,10 +33,9 @@ Topology mesh_topology(size_t n, double lat_ms) {
   return t;
 }
 
-/// An n-node real-time cluster. lat_ms = 0 selects the direct-dispatch
-/// delivery path (sender thread runs the receiver's ingest).
+/// An n-node real-time cluster with lat_ms links.
 struct MtFixture {
-  MtFixture(size_t n, PipelineMode mode, double lat_ms = 0)
+  MtFixture(size_t n, double lat_ms = 0)
       : topo(mesh_topology(n, lat_ms)), cluster(n, &topo) {
     for (NodeId id = 0; id < n; ++id) {
       StabilizerOptions opts;
@@ -46,7 +43,6 @@ struct MtFixture {
       opts.self = id;
       opts.ack_interval = millis(1);
       opts.retransmit_timeout = millis(50);
-      opts.pipeline_mode = mode;
       nodes.push_back(
           std::make_unique<Stabilizer>(opts, cluster.transport(id)));
     }
@@ -74,16 +70,19 @@ struct MtFixture {
   std::vector<std::unique_ptr<Stabilizer>> nodes;
 };
 
-// Four concurrent client threads on one pipelined node — two senders, one
-// frontier reader, one waiter — plus the peers' ack traffic folding into the
-// cells from their own threads. Checks: no lost messages, every frontier
-// read monotone, monitor fires strictly increasing, and the cluster
-// converges to full stability.
+// Five concurrent client threads on one node — two senders, one frontier
+// reader, one waiter, one reporter — plus the peers' ack traffic arriving
+// on its Env thread. Checks: no lost messages, every frontier read
+// monotone, monitor fires strictly increasing, and the cluster converges
+// to full stability.
 TEST(CoreMt, ConcurrentFacadeUseConvergesWithMonotoneFrontiers) {
-  MtFixture f(3, PipelineMode::kPipelined);
+  MtFixture f(3);
   Stabilizer& s = f.node(0);
   ASSERT_TRUE(s.register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
   ASSERT_TRUE(s.register_predicate("one", "MAX($ALLWNODES-$MYWNODE)"));
+  // Registering the predicate registers the "audited" type, so the
+  // reporter thread's plain reports take the lock-free cells.
+  ASSERT_TRUE(s.register_predicate("audited", "MAX(($MYWNODE).audited)"));
 
   std::atomic<SeqNum> monitor_last{kNoSeq};
   ASSERT_TRUE(s.monitor_stability_frontier("all", [&](SeqNum fr, BytesView) {
@@ -119,9 +118,17 @@ TEST(CoreMt, ConcurrentFacadeUseConvergesWithMonotoneFrontiers) {
     for (SeqNum seq : {SeqNum(10), SeqNum(100), SeqNum(2 * kPerSender - 1)})
       if (s.waitfor_blocking(seq, "all", seconds(30))) ++waiter_ok;
   });
+  // An application thread reporting a custom level about node 1's stream,
+  // racing the senders (only node 0's own reports move that cell).
+  constexpr SeqNum kAudited = 2 * kPerSender - 1;
+  std::thread reporter([&] {
+    for (SeqNum q = 0; q <= kAudited; ++q)
+      ASSERT_TRUE(s.report_stability("audited", 1, q));
+  });
 
   sender_a.join();
   sender_b.join();
+  reporter.join();
   const SeqNum last = s.last_sent();
   EXPECT_EQ(last, 2 * kPerSender - 1);  // dense seqs under concurrent send
 
@@ -133,62 +140,44 @@ TEST(CoreMt, ConcurrentFacadeUseConvergesWithMonotoneFrontiers) {
 
   EXPECT_EQ(s.get_stability_frontier("all"), last);
   EXPECT_EQ(monitor_last.load(), last);
+  // A plain report is visible once the drain has run: wait, then read.
+  EXPECT_TRUE(s.waitfor_blocking(kAudited, "audited", seconds(30), 1));
+  EXPECT_EQ(s.get_stability_frontier("audited", 1), kAudited);
   // Every peer delivered the full stream in order (FIFO counters).
   for (NodeId p : {NodeId{1}, NodeId{2}})
     EXPECT_EQ(f.node(p).delivered_through(0), last);
 
 #if STAB_OBS_ENABLED
-  // The storm really took the lock-free path: peer acks landed in the
-  // cells, drains batched them, and no ring event was required for them.
+  // The reporter's plain reports took the lock-free path: they landed in
+  // the cells and drains applied them.
   EXPECT_GT(s.metrics().counter("pipeline.cell_acks").value(), 0u);
   EXPECT_GT(s.metrics().counter("pipeline.drains").value(), 0u);
 #endif
 }
 
-// The same fixed workload converges to the same application-visible state
-// under kPipelined and kLegacyLocked: last_sent, per-peer delivery
-// counters, and every (key, origin) frontier. Real-time timing differs
-// between runs; the converged state must not.
-TEST(CoreMt, PipelinedMatchesLegacyLockedConvergedState) {
-  struct Converged {
-    SeqNum last[3];
-    SeqNum delivered[3][3];
-    SeqNum frontier[3][3];
-  };
-  auto run = [](PipelineMode mode) {
-    MtFixture f(3, mode, /*lat_ms=*/0.2);
-    for (NodeId id = 0; id < 3; ++id) {
-      // EXPECT (not ASSERT): this lambda returns a value.
-      EXPECT_TRUE(
-          f.node(id).register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
-    }
-    std::vector<std::thread> senders;
-    for (NodeId id = 0; id < 3; ++id)
-      senders.emplace_back([&f, id] {
-        for (int i = 0; i < 60; ++i) f.node(id).send(to_bytes("m"));
-      });
-    for (auto& t : senders) t.join();
-    Converged out{};
-    for (NodeId o = 0; o < 3; ++o) {
-      out.last[o] = f.node(o).last_sent();
-      for (NodeId g = 0; g < 3; ++g) {
-        EXPECT_TRUE(f.await_frontier(o, "all", f.node(g).last_sent(), g))
-            << "node " << o << " origin " << g;
-        out.delivered[o][g] = f.node(o).delivered_through(g);
-        out.frontier[o][g] = f.node(o).get_stability_frontier("all", g);
-      }
-    }
-    return out;
-  };
-
-  Converged piped = run(PipelineMode::kPipelined);
-  Converged locked = run(PipelineMode::kLegacyLocked);
+// Three nodes each send 60 messages concurrently over 0.2 ms links; every
+// node converges on every stream: 60 sent (seqs 0..59), all delivered, and
+// every (key, origin) frontier at 59.
+TEST(CoreMt, ConcurrentSendersConvergeOnEveryStream) {
+  MtFixture f(3, /*lat_ms=*/0.2);
+  for (NodeId id = 0; id < 3; ++id)
+    ASSERT_TRUE(
+        f.node(id).register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
+  std::vector<std::thread> senders;
+  for (NodeId id = 0; id < 3; ++id)
+    senders.emplace_back([&f, id] {
+      for (int i = 0; i < 60; ++i) f.node(id).send(to_bytes("m"));
+    });
+  for (auto& t : senders) t.join();
   for (NodeId o = 0; o < 3; ++o) {
-    EXPECT_EQ(piped.last[o], locked.last[o]);
+    EXPECT_EQ(f.node(o).last_sent(), 59);
     for (NodeId g = 0; g < 3; ++g) {
-      EXPECT_EQ(piped.delivered[o][g], locked.delivered[o][g])
+      EXPECT_TRUE(f.await_frontier(o, "all", 59, g))
           << "node " << o << " origin " << g;
-      EXPECT_EQ(piped.frontier[o][g], locked.frontier[o][g])
+      if (o != g) {
+        EXPECT_EQ(f.node(o).delivered_through(g), 59);
+      }
+      EXPECT_EQ(f.node(o).get_stability_frontier("all", g), 59)
           << "node " << o << " origin " << g;
     }
   }
@@ -200,7 +189,7 @@ TEST(CoreMt, PipelinedMatchesLegacyLockedConvergedState) {
 // locked slow path (type not yet registered there), the rest fold into the
 // cells — both routes must merge into the same frontier.
 TEST(CoreMt, ConcurrentCustomReportsAdvanceVerifiedFrontier) {
-  MtFixture f(3, PipelineMode::kPipelined);
+  MtFixture f(3);
   Stabilizer& s = f.node(0);
   ASSERT_TRUE(
       s.register_predicate("ver", "MIN(($ALLWNODES-$MYWNODE).verified)"));
@@ -236,8 +225,7 @@ TEST(CoreMt, ConcurrentCustomReportsAdvanceVerifiedFrontier) {
 // thread parked in a blocking wait whose predicate is removed (the waiter is
 // CANCELLED, fired with kNoSeq) must return false promptly — not complete,
 // not crash, not sleep out its full timeout — and the facade must keep
-// working afterwards. Runs in pipelined mode so the cancellation also races
-// the lock-free ingest/drain machinery.
+// working afterwards.
 TEST(CoreMt, WaitforBlockingCancelledWhileParked) {
   Topology topo = mesh_topology(2, 0);
   InProcCluster cluster(2, &topo);
@@ -246,7 +234,6 @@ TEST(CoreMt, WaitforBlockingCancelledWhileParked) {
   opts.self = 0;
   opts.ack_interval = millis(1);
   opts.retransmit_timeout = millis(20);  // node 1 boots late: needs go-back-N
-  opts.pipeline_mode = PipelineMode::kPipelined;
   Stabilizer node0(opts, cluster.transport(0));
   ASSERT_TRUE(node0.register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
   // No Stabilizer on node 1 yet: the wait can only end by cancellation.
@@ -277,7 +264,7 @@ TEST(CoreMt, WaitforBlockingCancelledWhileParked) {
 // without the lock: once the frontier covers seq, a waitfor from any thread
 // fires inline with a frontier at least that fresh.
 TEST(CoreMt, WaitforFastPathFiresInlineWhenAlreadyStable) {
-  MtFixture f(2, PipelineMode::kPipelined);
+  MtFixture f(2);
   Stabilizer& s = f.node(0);
   ASSERT_TRUE(s.register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
   SeqNum seq = s.send(to_bytes("x"));
@@ -299,6 +286,71 @@ TEST(CoreMt, WaitforFastPathFiresInlineWhenAlreadyStable) {
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(fired.load(), 4000);
+}
+
+// get_stability_frontier and an already-stable waitfor never take the API
+// lock, so a callback that holds it cannot stall them. Node 0's delivery
+// upcall parks its Env thread, lock held, until a latch opens; meanwhile
+// another thread reads the own stream's frontier and waits for a seq that
+// is already stable. Both must return within 1 s. The latch opens after the
+// timed wait either way, so a blocking read fails the test, not hangs it.
+TEST(CoreMt, StableReadsDoNotWaitForTheApiLock) {
+  struct Latch {
+    std::mutex m;
+    std::condition_variable cv;
+    bool entered = false;
+    bool open = false;
+    void release() {
+      {
+        std::lock_guard<std::mutex> l(m);
+        open = true;
+      }
+      cv.notify_all();
+    }
+  };
+  auto latch = std::make_shared<Latch>();
+  MtFixture f(2, /*lat_ms=*/1);
+  Stabilizer& s = f.node(0);
+  ASSERT_TRUE(s.register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
+  const SeqNum seq = s.send(to_bytes("x"));
+  ASSERT_TRUE(s.waitfor_blocking(seq, "all", seconds(30)));
+
+  s.set_delivery_handler([latch](NodeId, SeqNum, BytesView, uint64_t) {
+    std::unique_lock<std::mutex> l(latch->m);
+    latch->entered = true;
+    latch->cv.notify_all();
+    latch->cv.wait(l, [&] { return latch->open; });
+  });
+  f.node(1).send(to_bytes("y"));
+  bool blocked;
+  {
+    std::unique_lock<std::mutex> l(latch->m);
+    blocked = latch->cv.wait_for(l, std::chrono::seconds(30),
+                                 [&] { return latch->entered; });
+  }
+  if (!blocked) latch->release();
+  ASSERT_TRUE(blocked);
+
+  std::promise<SeqNum> read, waited;
+  std::future<SeqNum> read_done = read.get_future();
+  std::future<SeqNum> wait_done = waited.get_future();
+  std::thread client([&] {
+    read.set_value(s.get_stability_frontier("all"));
+    Status st = s.waitfor(seq, "all", [&](SeqNum fr) { waited.set_value(fr); });
+    EXPECT_TRUE(st.is_ok());
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  const bool read_in_time =
+      read_done.wait_until(deadline) == std::future_status::ready;
+  const bool wait_in_time =
+      wait_done.wait_until(deadline) == std::future_status::ready;
+  latch->release();
+  client.join();
+  EXPECT_TRUE(read_in_time);
+  EXPECT_TRUE(wait_in_time);
+  EXPECT_EQ(read_done.get(), seq);
+  EXPECT_EQ(wait_done.get(), seq);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "core/stabilizer.hpp"
@@ -619,9 +620,6 @@ class EagerTransport final : public Transport {
   }
   Env& env() override { return inner_.env(); }
   bool single_threaded() const override { return inner_.single_threaded(); }
-  void set_direct_dispatch(bool on) override {
-    inner_.set_direct_dispatch(on);
-  }
 
  private:
   SimTransport& inner_;
@@ -629,7 +627,7 @@ class EagerTransport final : public Transport {
 
 /// A frame that reaches node 0's handler inside its constructor is applied
 /// like any other, and the node then streams normally.
-void check_frame_during_construction(StabilizerOptions::PipelineMode mode) {
+TEST(Core, FrameDuringConstruction) {
   Topology topo = tiny_topology(2, 5);
   sim::Simulator sim;
   SimCluster cluster(topo, sim);
@@ -637,7 +635,6 @@ void check_frame_during_construction(StabilizerOptions::PipelineMode mode) {
   StabilizerOptions opts;
   opts.topology = topo;
   opts.send_window = 4;
-  opts.pipeline_mode = mode;
   Stabilizer node0(opts, eager);
   opts.self = 1;
   Stabilizer node1(opts, cluster.transport(1));
@@ -646,16 +643,6 @@ void check_frame_during_construction(StabilizerOptions::PipelineMode mode) {
   for (int i = 0; i < 10; ++i) node0.send(to_bytes("m"));
   sim.run();
   EXPECT_EQ(node1.delivered_through(0), 9);
-}
-
-TEST(Core, FrameDuringConstructionLocked) {
-  check_frame_during_construction(
-      StabilizerOptions::PipelineMode::kLegacyLocked);
-}
-
-TEST(Core, FrameDuringConstructionPipelined) {
-  check_frame_during_construction(
-      StabilizerOptions::PipelineMode::kPipelined);
 }
 
 TEST(Core, ErrorsPropagate) {
@@ -669,6 +656,34 @@ TEST(Core, ErrorsPropagate) {
   EXPECT_FALSE(
       f.node(0).waitfor(1, "missing", [](SeqNum) {}).is_ok());
   EXPECT_EQ(f.node(0).get_stability_frontier("missing"), kNoSeq);
+}
+
+// An origin outside the topology is refused, never used as an index: the
+// status-returning calls fail and never call the waiter, the frontier read
+// answers kNoSeq, and the accessors throw std::out_of_range.
+TEST(Core, OutOfRangeOriginIsRefused) {
+  SimFixture f(tiny_topology(2));
+  Stabilizer& s = f.node(0);
+  ASSERT_TRUE(s.register_predicate("all", "MIN($ALLWNODES)"));
+  const NodeId bad = 2;  // == num_nodes
+  EXPECT_EQ(s.get_stability_frontier("all", bad), kNoSeq);
+  EXPECT_FALSE(
+      s.monitor_stability_frontier("all", [](SeqNum, BytesView) {}, bad)
+          .is_ok());
+  bool called = false;
+  EXPECT_FALSE(
+      s.waitfor(0, "all", [&](SeqNum) { called = true; }, bad).is_ok());
+  EXPECT_FALSE(s.waitfor_blocking(0, "all", millis(10), bad));
+  EXPECT_EQ(s.waitfor_blocking_status(0, "all", millis(10), bad),
+            Stabilizer::WaitStatus::kNoSeq);
+  EXPECT_FALSE(s.report_stability("verified", bad, 0).is_ok());
+  EXPECT_THROW(s.stream_epoch(bad), std::out_of_range);
+  EXPECT_THROW(s.stream_primary(bad), std::out_of_range);
+  EXPECT_THROW(s.engine(bad), std::out_of_range);
+  s.send(to_bytes("m"));
+  f.sim.run();
+  EXPECT_FALSE(called);
+  EXPECT_EQ(s.get_stability_frontier("all"), 0);
 }
 
 // --- real-time (in-process) ----------------------------------------------------

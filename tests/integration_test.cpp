@@ -55,6 +55,12 @@ TEST(TcpIntegration, FullStackOverRealSockets) {
   EXPECT_TRUE(
       nodes[0]->waitfor_blocking(9, "verified_everywhere", seconds(10)));
   EXPECT_EQ(nodes[0]->get_stability_frontier("verified_everywhere"), 9);
+#if STAB_OBS_ENABLED
+  // After each node's first report registered "verified", the upcalls'
+  // plain reports rode the lock-free report cells.
+  for (NodeId n = 1; n < 3; ++n)
+    EXPECT_GT(nodes[n]->metrics().counter("pipeline.cell_acks").value(), 0u);
+#endif
 
   nodes.clear();
   for (auto& t : transports) t->shutdown();

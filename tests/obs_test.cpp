@@ -635,7 +635,7 @@ TEST(TraceDrop, StabilizerExportsDroppedCountAsRegistryCounter) {
 
 // --- New span coverage ----------------------------------------------------------
 
-TEST(SpanNames, FailoverAndPipelineEventsAreNamed) {
+TEST(SpanNames, FailoverEventsAreNamed) {
   EXPECT_STREQ(obs::span_event_name(obs::SpanEvent::kLeaseExpire),
                "lease_expire");
   EXPECT_STREQ(obs::span_event_name(obs::SpanEvent::kSuspect), "suspect");
@@ -644,13 +644,11 @@ TEST(SpanNames, FailoverAndPipelineEventsAreNamed) {
                "takeover_apply");
   EXPECT_STREQ(obs::span_event_name(obs::SpanEvent::kFenceDrop),
                "fence_drop");
-  EXPECT_STREQ(obs::span_event_name(obs::SpanEvent::kRingStall),
-               "ring_stall");
   // Mask partition: lifecycle + episode = all, disjoint.
   EXPECT_EQ(obs::kLifecycleEvents | obs::kEpisodeEvents, obs::kAllEvents);
   EXPECT_EQ(obs::kLifecycleEvents & obs::kEpisodeEvents, 0u);
   EXPECT_TRUE((obs::kEpisodeEvents &
-               obs::event_bit(obs::SpanEvent::kRingStall)) != 0);
+               obs::event_bit(obs::SpanEvent::kFenceDrop)) != 0);
 }
 
 }  // namespace
