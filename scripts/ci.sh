@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: plain build + full ctest, bench smokes (data-plane fan-out,
 # the control-plane dispatch + MT producer curve, and the sharded scale-out
-# throughput floor), a chaos property sweep
+# throughput floor), the paper-shape gate (every figure/table bench's shape
+# checks must pass), a chaos property sweep
 # under fresh random seeds, then sanitizer passes: one configurable pass over
 # the control-plane/core suites (the indexed dispatch / batched ack hot path,
 # its re-entrant callback surface, and the lock-free report/read paths' MT
@@ -11,8 +12,11 @@
 # campaigns) and the real-time suites (net_test + integration_test +
 # common_test — the epoll event loop, TCP framing under hostile bytes,
 # handler teardown). The TSan and UBSan legs additionally run core_mt_test
-# unconditionally, and the TSan leg obs_test. A short perfbench tcp_small
-# run closes the plain pass as a correctness smoke.
+# unconditionally, and the TSan leg obs_test. The UBSan leg also runs the
+# decoder and control-apply suites (core_test, control_test, data_test,
+# alloc_budget_test), which the configurable pass runs under ASan by
+# default. A short perfbench tcp_small run closes the plain pass as a
+# correctness smoke.
 #
 # Usage: scripts/ci.sh [extra cmake args...]
 # Env:   STAB_CI_SANITIZER=address|thread|undefined  (default: address)
@@ -63,6 +67,31 @@ echo "==> stability propagation bench (smoke: 16-node fleet, >=5x bytes floor)"
 # immediate/deferred/deferred+agg comparison on a 4x4 fleet and exits
 # nonzero below 5x bytes reduction or above the p99 frontier-lag bound.
 (cd "$ROOT/build" && bench/bench_stability_propagation --smoke)
+
+echo "==> paper shapes (figures 3-8, tables 1-3, separation ablation, chaos recovery)"
+# The reproduction's figure and table benches print a PASS/FAIL line per
+# shape check and exit 1 when one fails. A nonzero exit or any check line
+# ending in FAIL fails CI, so a change to the data or report path cannot
+# quietly break the reproduction. They write their outputs to cwd, so they
+# run in a scratch directory.
+SHAPE_DIR="$(mktemp -d)"
+for B in bench_fig3_quorum_read bench_fig4_trace bench_fig5_trace_frontier \
+         bench_fig6_file_sync bench_fig7_pubsub bench_fig8_reconfig \
+         bench_table1_network bench_table2_network bench_table3_predicates \
+         bench_ablation_separation bench_chaos_recovery; do
+  if ! (cd "$SHAPE_DIR" && "$ROOT/build/bench/$B") >"$SHAPE_DIR/$B.log" 2>&1
+  then
+    echo "==> $B exited nonzero"
+    tail -n 40 "$SHAPE_DIR/$B.log"; rm -rf "$SHAPE_DIR"; exit 1
+  fi
+  if grep -qE ':[[:space:]]*FAIL[[:space:]]*$' "$SHAPE_DIR/$B.log"; then
+    echo "==> $B printed a failing check"
+    grep -E ':[[:space:]]*FAIL[[:space:]]*$' "$SHAPE_DIR/$B.log"
+    rm -rf "$SHAPE_DIR"; exit 1
+  fi
+  echo "    $B: ok"
+done
+rm -rf "$SHAPE_DIR"
 
 echo "==> metrics endpoint smoke (live TCP cluster + 2 scrapes mid-traffic)"
 # Stand up the 3-node loopback demo with a kernel-assigned port, scrape the
@@ -187,16 +216,21 @@ fi
 SAN_DIR="$ROOT/build-$SAN"
 echo "==> $SAN sanitizer: configure + build (build-$SAN/)"
 cmake -B "$SAN_DIR" -S "$ROOT" -DSTAB_SANITIZE="$SAN" "$@"
-cmake --build "$SAN_DIR" -j \
-  --target control_test core_test core_mt_test obs_test shard_test
+cmake --build "$SAN_DIR" -j --target control_test core_test core_mt_test \
+  obs_test shard_test data_test alloc_budget_test
 
 echo "==> $SAN sanitizer: control_test + core_test + core_mt_test" \
-     "+ obs_test + shard_test"
+     "+ obs_test + shard_test + data_test + alloc_budget_test"
 "$SAN_DIR/tests/control_test"
 "$SAN_DIR/tests/core_test"
 "$SAN_DIR/tests/core_mt_test"
 "$SAN_DIR/tests/obs_test"
 "$SAN_DIR/tests/shard_test"
+"$SAN_DIR/tests/data_test"
+if [[ "$SAN" != "thread" ]]; then
+  # Replaces the global operator new, which TSan's runtime also provides.
+  "$SAN_DIR/tests/alloc_budget_test"
+fi
 
 # Fault-handling and real-time suites under the full sanitizer matrix —
 # ASan, TSan, and UBSan as real legs: the crash-restart path destroys and
@@ -240,6 +274,19 @@ for FSAN in address thread undefined; do
     echo "==> $FSAN sanitizer: core_mt_test (lock-free report/read paths)"
     cmake --build "$FSAN_DIR" -j --target core_mt_test
     "$FSAN_DIR/tests/core_mt_test"
+  fi
+  if [[ "$FSAN" == "undefined" && "$SAN" != "undefined" ]]; then
+    # Hostile frames (truncations, lying counts, out-of-range type ids), the
+    # in-place ACKBATCH/REPORTBATCH views and the re-entrant control apply
+    # path, under UBSan as well as the configurable pass's sanitizer.
+    echo "==> $FSAN sanitizer: core_test + control_test + data_test" \
+         "+ alloc_budget_test"
+    cmake --build "$FSAN_DIR" -j --target core_test control_test data_test \
+      alloc_budget_test
+    "$FSAN_DIR/tests/core_test"
+    "$FSAN_DIR/tests/control_test"
+    "$FSAN_DIR/tests/data_test"
+    "$FSAN_DIR/tests/alloc_budget_test"
   fi
 done
 

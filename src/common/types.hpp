@@ -39,6 +39,12 @@ using PrimaryEpoch = uint32_t;
 /// Identifier of a stability type ("received", "persisted", or an
 /// application-defined level such as "verified"). See control/stability_types.
 using StabilityTypeId = uint32_t;
+/// Exclusive upper bound on stability type ids. Ack tables keep one row per
+/// type id, so an id read off the wire must never size them: decoders refuse
+/// frames naming a type at or above this cap, and AckTable ignores such
+/// reports. The cap is fixed rather than the local registry's size because a
+/// peer may legitimately report a type this node has not registered yet.
+inline constexpr StabilityTypeId kMaxStabilityTypes = 256;
 
 /// Virtual or real time. All modules treat time as a nanosecond count since
 /// an arbitrary epoch so that the deterministic simulator and the real-time

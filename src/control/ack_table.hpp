@@ -24,13 +24,14 @@ class AckTable final : public dsl::AckSource {
   size_t num_nodes() const { return num_nodes_; }
 
   /// Monotonic merge: row[type][node] = max(old, seq). Returns true iff the
-  /// entry advanced. Out-of-range nodes are ignored (returns false). When
-  /// `old_value` is given it receives the cell's pre-merge value — the
-  /// frontier engine's binding-cell skip needs it to decide whether the
-  /// updated cell was binding.
+  /// entry advanced. Out-of-range nodes and type ids at or above
+  /// kMaxStabilityTypes are ignored (returns false), so no report can grow
+  /// the table past the cap. When `old_value` is given it receives the
+  /// cell's pre-merge value — the frontier engine's binding-cell skip needs
+  /// it to decide whether the updated cell was binding.
   bool update(StabilityTypeId type, NodeId node, SeqNum seq,
               int64_t* old_value = nullptr) {
-    if (node >= num_nodes_) return false;
+    if (node >= num_nodes_ || type >= kMaxStabilityTypes) return false;
     ensure_type(type);
     int64_t& cell = rows_[type][node];
     if (old_value) *old_value = cell;

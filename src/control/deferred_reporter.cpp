@@ -24,7 +24,7 @@ bool DeferredReporter::note(NodeId reporter, PrimaryEpoch epoch, NodeId about,
   return true;
 }
 
-size_t DeferredReporter::absorb(const data::ReportBlock& block) {
+size_t DeferredReporter::absorb(const data::ReportBlockView& block) {
   size_t advanced = 0;
   for (const data::ReportEntry& e : block.entries)
     if (note(block.reporter, block.primary_epoch, e.about_origin, e.type,

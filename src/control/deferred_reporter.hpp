@@ -46,9 +46,10 @@ class DeferredReporter {
   bool note(NodeId reporter, PrimaryEpoch epoch, NodeId about,
             StabilityTypeId type, SeqNum seq);
 
-  /// Aggregator path: max-merges every entry of a received block into that
-  /// reporter's pending vector. Returns the number of cells advanced.
-  size_t absorb(const data::ReportBlock& block);
+  /// Aggregator path: max-merges every entry of a received block, read in
+  /// place from its REPORTBATCH, into that reporter's pending vector.
+  /// Returns the number of cells advanced.
+  size_t absorb(const data::ReportBlockView& block);
 
   bool empty() const { return pending_cells_ == 0; }
 

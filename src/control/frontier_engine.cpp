@@ -33,31 +33,34 @@ Result<dsl::Predicate> FrontierEngine::compile(const std::string& source) {
   ctx.self = self_;
   ctx.resolve_type = [this](const std::string& name) {
     // Auto-register: a predicate mentioning .verified makes "verified" a
-    // reportable level from now on.
-    return std::optional<StabilityTypeId>(types_.get_or_register(name));
+    // reportable level from now on — up to the cap peers accept on the wire.
+    const StabilityTypeId id = types_.get_or_register(name);
+    return id < kMaxStabilityTypes ? std::optional<StabilityTypeId>(id)
+                                   : std::nullopt;
   };
   return dsl::Predicate::compile(source, ctx, mode_);
 }
 
 void FrontierEngine::index_entry(Entry& entry) {
-  for (StabilityTypeId t : entry.predicate.referenced_types())
+  const size_t num_nodes = acks_.num_nodes();
+  for (StabilityTypeId t : entry.predicate.referenced_types()) {
+    if (cell(t, 0) + num_nodes > index_.size())
+      index_.resize(cell(t, 0) + num_nodes);
     for (NodeId n : entry.predicate.referenced_nodes()) {
-      uint64_t key = cell_key(t, n);
-      index_[key].push_back(&entry);
-      entry.index_keys.push_back(key);
+      if (n >= num_nodes) continue;  // AckTable::update refuses such reports
+      index_[cell(t, n)].push_back(&entry);
+      entry.index_cells.push_back(cell(t, n));
     }
+  }
 }
 
 void FrontierEngine::deindex_entry(Entry& entry) {
-  for (uint64_t key : entry.index_keys) {
-    auto it = index_.find(key);
-    if (it == index_.end()) continue;
-    auto& bucket = it->second;
+  for (size_t c : entry.index_cells) {
+    auto& bucket = index_[c];
     bucket.erase(std::remove(bucket.begin(), bucket.end(), &entry),
                  bucket.end());
-    if (bucket.empty()) index_.erase(it);
   }
-  entry.index_keys.clear();
+  entry.index_cells.clear();
 }
 
 Status FrontierEngine::register_predicate(const std::string& key,
@@ -203,15 +206,15 @@ void FrontierEngine::dispatch_cell(StabilityTypeId type, NodeId node,
     }
     return;
   }
-  auto it = index_.find(cell_key(type, node));
-  const size_t affected = it == index_.end() ? 0 : it->second.size();
+  const size_t c = cell(type, node);
+  const size_t affected = bucket_size(c);
   evals_skipped_index_ += entries_.size() - affected;
   if (affected == 0) return;
-  // Bounds-checked index loop: monitor/waiter callbacks may re-enter and
-  // grow/shrink this bucket via register/change_predicate.
-  auto& bucket = it->second;
-  for (size_t i = 0; i < bucket.size(); ++i) {
-    Entry* e = bucket[i];
+  // Bucket re-fetched per step: monitor/waiter callbacks may re-enter and
+  // grow or shrink it (register/change_predicate) or resize index_ (a
+  // predicate on a new type).
+  for (size_t i = 0; i < bucket_size(c); ++i) {
+    Entry* e = index_[c][i];
     if (e->predicate.eval_skippable(old_value, seq, e->frontier)) {
       ++evals_skipped_binding_;
       continue;
@@ -242,20 +245,24 @@ size_t FrontierEngine::on_ack_batch(std::span<const AckUpdate> updates) {
   // affected entries. `stamp` is captured locally so that re-entrant
   // batches (a monitor calling send/report_stability) cannot corrupt this
   // invocation's dedup marks — a re-entrant touch merely causes one extra
-  // idempotent eval.
+  // idempotent eval. `dirty` is this nesting depth's scratch, so a nested
+  // batch collects into a buffer of its own. No callback runs in phase 1, so
+  // holding a bucket reference across its inner loop is safe.
   const uint64_t stamp = ++batch_stamp_;
-  std::vector<Entry*> dirty;
+  auto dirty_lease = dirty_scratch_.acquire();
+  std::vector<Entry*>& dirty = *dirty_lease;
+  dirty.clear();
   size_t advanced = 0;
   for (const AckUpdate& u : updates) {
     int64_t old_value = kNoSeq;
     if (!acks_.update(u.type, u.node, u.seq, &old_value)) continue;
     ++advanced;
     STAB_OBS(if (u.seq > high_water_) high_water_ = u.seq);
-    auto it = index_.find(cell_key(u.type, u.node));
-    const size_t affected = it == index_.end() ? 0 : it->second.size();
+    const size_t c = cell(u.type, u.node);
+    const size_t affected = bucket_size(c);
     evals_skipped_index_ += entries_.size() - affected;
     if (affected == 0) continue;
-    for (Entry* e : it->second) {
+    for (Entry* e : index_[c]) {
       // Binding-cell skip relative to the pre-batch frontier: sound because
       // each skippable update individually leaves the frontier fixed, so by
       // induction the whole batch does too (unless some other update dirties

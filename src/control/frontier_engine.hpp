@@ -8,16 +8,18 @@
 // (paper §III-D interfaces).
 //
 // Hot-path dispatch (DESIGN.md §4c): instead of scanning every registered
-// predicate per report, the engine maintains a reverse dependency index
-// (type, node) -> [entries], rebuilt on register/change/remove. Whole ack
-// batches are applied with on_ack_batch(): the batch is max-merged into the
-// AckTable first, the affected entries are collected (deduplicated), and
-// each predicate re-evaluates exactly once per batch — monotonicity makes
-// the coalescing lossless (§III-A). Specialized predicates additionally
-// skip provably no-op evaluations via their cached binding bound
-// (Predicate::eval_skippable). set_dispatch_mode(kLegacyScan) restores the
-// original scan-everything/eval-per-report behaviour for differential tests
-// and the bench_control_hotpath baseline.
+// predicate per report, the engine maintains a dense reverse dependency
+// index, one bucket of entries per (type, node) cell, updated on
+// register/change/remove. Whole ack batches are applied with on_ack_batch():
+// the batch is max-merged into the AckTable first, the affected entries are
+// collected (deduplicated) into engine-owned scratch, and each predicate
+// re-evaluates exactly once per batch — monotonicity makes the coalescing
+// lossless (§III-A). Specialized predicates additionally skip provably no-op
+// evaluations via their cached binding bound (Predicate::eval_skippable).
+// Past warm-up, applying a batch allocates nothing and hashes nothing.
+// set_dispatch_mode(kLegacyScan) restores the original
+// scan-everything/eval-per-report behaviour for differential tests and the
+// bench_control_hotpath baseline.
 //
 // The engine is synchronous and single-threaded by design: callers (the
 // Stabilizer core, tests) drive it from their Env thread, which is what
@@ -31,10 +33,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/depth_scratch.hpp"
 #include "common/result.hpp"
 #include "config/topology.hpp"
 #include "control/ack_table.hpp"
@@ -193,7 +195,7 @@ class FrontierEngine {
     SeqNum frontier = kNoSeq;
     std::vector<MonitorFn> monitors;
     std::vector<Waiter> waiters;  // kept sorted by seq ascending
-    std::vector<uint64_t> index_keys;  // cells this entry is indexed under
+    std::vector<size_t> index_cells;   // index_ buckets this entry sits in
     uint64_t batch_stamp = 0;          // dedup marker (see on_ack_batch)
     BytesView pending_extra{};         // extra routed to this entry's eval
     SeqNum pending_extra_seq = kNoSeq; // seq of the report carrying it
@@ -204,8 +206,14 @@ class FrontierEngine {
 #endif
   };
 
-  static uint64_t cell_key(StabilityTypeId type, NodeId node) {
-    return (static_cast<uint64_t>(type) << 32) | node;
+  /// index_ position of (type, node): type-major, so adding types appends
+  /// buckets and never renumbers a cell. Callers pass node < num_nodes.
+  size_t cell(StabilityTypeId type, NodeId node) const {
+    return static_cast<size_t>(type) * acks_.num_nodes() + node;
+  }
+  /// Entries indexed under `cell`; 0 for a cell past the index.
+  size_t bucket_size(size_t cell) const {
+    return cell < index_.size() ? index_[cell].size() : 0;
   }
 
   Result<dsl::Predicate> compile(const std::string& source);
@@ -228,7 +236,16 @@ class FrontierEngine {
   AckTable acks_;
   FrontierBoard board_;
   std::map<std::string, std::unique_ptr<Entry>> entries_;
-  std::unordered_map<uint64_t, std::vector<Entry*>> index_;
+  // Dense reverse index: index_[cell(type, node)] lists, in registration
+  // order, the entries whose predicate references that cell. A callback that
+  // registers a predicate on a new type resizes it, so code that fires
+  // callbacks while walking a bucket re-fetches the bucket by cell number on
+  // every step instead of holding a reference.
+  std::vector<std::vector<Entry*>> index_;
+  // The dirty entries of an on_ack_batch call, one buffer per nesting depth:
+  // a callback that re-enters the engine gets the next depth's buffer and
+  // leaves its caller's untouched.
+  DepthScratch<std::vector<Entry*>> dirty_scratch_;
   uint64_t batch_stamp_ = 0;
   uint64_t predicate_evals_ = 0;
   uint64_t evals_skipped_index_ = 0;

@@ -38,6 +38,7 @@ Stabilizer::Counters::Counters(obs::MetricsRegistry& r)
       failover_seqs_skipped(r.counter("failover.seqs_skipped")),
       failover_seqs_rolled_back(r.counter("failover.seqs_rolled_back")),
       waiters_fenced(r.counter("failover.waiters_fenced")),
+      frames_malformed(r.counter("core.frames_malformed")),
       batch_frames(r.histogram("data.batch_frames")),
       ack_flush_entries(r.histogram("control.ack_flush_entries")),
       report_flush_entries(r.histogram("control.report_flush_entries")) {}
@@ -274,10 +275,11 @@ void Stabilizer::pump_all() {
 void Stabilizer::apply_origin_rule(NodeId origin, SeqNum seq) {
   // §III-C: "all stability properties hold for the WAN node that originated
   // a message" — advance every type's self cell, as one batch so predicates
-  // spanning several types re-evaluate once. The vector is local because
-  // callbacks fired by the batch may re-enter send().
-  std::vector<AckUpdate> updates;
-  updates.reserve(types_.count());
+  // spanning several types re-evaluate once. The list is depth scratch
+  // because callbacks fired by the batch may re-enter send().
+  auto lease = updates_scratch_.acquire();
+  std::vector<AckUpdate>& updates = *lease;
+  updates.clear();
   for (StabilityTypeId t = 0; t < types_.count(); ++t)
     updates.push_back(AckUpdate{t, options_.self, seq, {}});
   engines_[origin]->on_ack_batch(updates);
@@ -309,28 +311,54 @@ void Stabilizer::on_frame(NodeId src, BytesView frame, uint64_t wire_size) {
     }
     return;
   }
+  // Bytes from a peer must never take the node down: a frame that does not
+  // decode (truncated, a count that overruns it, a type id at or above
+  // kMaxStabilityTypes) is dropped and counted. Only the decode is guarded;
+  // exceptions from handlers and user callbacks propagate as before. The
+  // ACKBATCH and REPORTBATCH views read `frame` in place, which the
+  // transport keeps alive until this handler returns.
+  auto decodes = [&](auto&& decode) {
+    try {
+      decode();
+      return true;
+    } catch (const CodecError&) {
+      STAB_OBS(ctr_.frames_malformed.inc());
+      return false;
+    }
+  };
   switch (*kind) {
     case data::FrameKind::kData: {
-      data::DataView v = data::decode_data_view(frame);
+      data::DataView v;
+      if (!decodes([&] { v = data::decode_data_view(frame); })) break;
       if (!admit_data(src, v.origin, v.primary_epoch)) break;
       handle_data(src, v, wire_size);
       break;
     }
     case data::FrameKind::kDataBatch: {
-      data::DataBatchFrame batch = data::decode_data_batch(frame);
+      data::DataBatchFrame batch;
+      if (!decodes([&] { batch = data::decode_data_batch(frame); })) break;
       if (!admit_data(src, batch.origin, batch.primary_epoch)) break;
       handle_data_batch(src, batch);
       break;
     }
-    case data::FrameKind::kAckBatch:
-      handle_ack_batch(data::decode_ack_batch(frame));
+    case data::FrameKind::kAckBatch: {
+      data::AckBatchView v;
+      if (decodes([&] { v = data::decode_ack_batch_view(frame); }))
+        handle_ack_batch(v);
       break;
-    case data::FrameKind::kReportBatch:
-      handle_report_batch(src, data::decode_report_batch(frame));
+    }
+    case data::FrameKind::kReportBatch: {
+      data::ReportBatchView v;
+      if (decodes([&] { v = data::decode_report_batch_view(frame); }))
+        handle_report_batch(src, v);
       break;
-    case data::FrameKind::kResume:
-      handle_resume(src, data::decode_resume(frame));
+    }
+    case data::FrameKind::kResume: {
+      data::ResumeFrame r;
+      if (decodes([&] { r = data::decode_resume(frame); }))
+        handle_resume(src, r);
       break;
+    }
   }
 }
 
@@ -383,9 +411,10 @@ void Stabilizer::drain_pipeline() {
     // and posts a fresh task rather than stranding its report.
     pipeline_->disarm();
     // One coalesced batch per origin, applied exactly like a locked report:
-    // into the engine, then out to peers. Local because callbacks fired by
-    // the batch may report again.
-    std::vector<AckUpdate> updates;
+    // into the engine, then out to peers. Depth scratch because callbacks
+    // fired by the batch may report again.
+    auto lease = updates_scratch_.acquire();
+    std::vector<AckUpdate>& updates = *lease;
     size_t cells = 0;
     for (NodeId origin = 0; origin < engines_.size(); ++origin) {
       updates.clear();
@@ -459,13 +488,16 @@ void Stabilizer::handle_data(NodeId src, const data::DataView& frame,
   // primary, not the origin node — crediting the dead origin would wedge
   // MIN-over-all predicates forever.
   const NodeId authority = stream_primary_[frame.origin];
-  std::vector<AckUpdate> updates;
-  updates.reserve(types_.count() + 1);
-  for (StabilityTypeId t = 0; t < types_.count(); ++t)
-    updates.push_back(AckUpdate{t, authority, frame.seq, {}});
-  updates.push_back(AckUpdate{StabilityTypeRegistry::kReceived, options_.self,
-                              frame.seq, {}});
-  engine.on_ack_batch(updates);
+  {
+    auto lease = updates_scratch_.acquire();
+    std::vector<AckUpdate>& updates = *lease;
+    updates.clear();
+    for (StabilityTypeId t = 0; t < types_.count(); ++t)
+      updates.push_back(AckUpdate{t, authority, frame.seq, {}});
+    updates.push_back(AckUpdate{StabilityTypeRegistry::kReceived,
+                                options_.self, frame.seq, {}});
+    engine.on_ack_batch(updates);
+  }
   mark_dirty(frame.origin, StabilityTypeRegistry::kReceived, frame.seq, {});
 
   if (delivery_)
@@ -479,20 +511,24 @@ void Stabilizer::handle_data(NodeId src, const data::DataView& frame,
   }
 }
 
-void Stabilizer::handle_ack_batch(const data::AckBatchFrame& frame) {
+void Stabilizer::handle_ack_batch(const data::AckBatchView& frame) {
   // Group the batch per origin engine and batch-apply: the whole frame is
   // max-merged before any predicate re-evaluates, so each affected
   // predicate evaluates once per frame instead of once per entry. The
   // AckUpdates view the frame's extra bytes — valid for the duration of
   // on_ack_batch, which routes each extra to the entries it affects.
-  // Buckets are local because monitors fired by the batch may re-enter
-  // (send -> apply_origin_rule runs a nested batch).
-  std::vector<std::vector<AckUpdate>> per_origin(engines_.size());
+  // The groups are depth scratch, cleared before use, because monitors
+  // fired by the batch may re-enter (send -> apply_origin_rule runs a
+  // nested batch).
+  auto lease = per_origin_scratch_.acquire();
+  std::vector<std::vector<AckUpdate>>& per_origin = *lease;
+  per_origin.resize(engines_.size());
+  for (auto& group : per_origin) group.clear();
   uint64_t applied = 0;
-  for (const data::AckEntry& e : frame.entries) {
+  for (const data::AckEntryView& e : frame.entries) {
     if (e.about_origin >= engines_.size()) continue;
     per_origin[e.about_origin].push_back(
-        AckUpdate{e.type, frame.reporter, e.seq, BytesView(e.extra)});
+        AckUpdate{e.type, frame.reporter, e.seq, e.extra});
     ++applied;
   }
   STAB_OBS(if (applied) ctr_.ack_entries_applied.inc(applied));
@@ -505,7 +541,7 @@ void Stabilizer::handle_ack_batch(const data::AckBatchFrame& frame) {
 }
 
 void Stabilizer::handle_report_batch(NodeId src,
-                                     const data::ReportBatchFrame& frame) {
+                                     const data::ReportBatchView& frame) {
   // The whole-node fence in on_frame already judged `src` (the forwarder).
   // Each block still carries its own reporter's credential: an aggregator
   // may innocently relay the vector of a member that was deposed after
@@ -513,10 +549,13 @@ void Stabilizer::handle_report_batch(NodeId src,
   // control exactly like a zombie's own ACKBATCH would.
   const bool absorbing = deferred_ && agg_self_ && src != options_.self &&
                          src < same_az_.size() && same_az_[src];
-  std::vector<std::vector<AckUpdate>> per_origin(engines_.size());
+  auto lease = per_origin_scratch_.acquire();
+  std::vector<std::vector<AckUpdate>>& per_origin = *lease;
+  per_origin.resize(engines_.size());
+  for (auto& group : per_origin) group.clear();
   uint64_t applied = 0;
   bool absorbed_any = false;
-  for (const data::ReportBlock& b : frame.blocks) {
+  for (const data::ReportBlockView& b : frame.blocks) {
     // Our own vector echoed back (an aggregator broadcasts merged state to
     // everyone, including the mirrors it came from) carries nothing new.
     if (b.reporter >= engines_.size() || b.reporter == options_.self) continue;
@@ -1292,6 +1331,11 @@ Status Stabilizer::report_stability(const std::string& type_name,
   }
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   StabilityTypeId type = types_.get_or_register(type_name);
+  // Peers refuse frames naming such a type, so reporting it would make them
+  // drop every ACKBATCH this node sends.
+  if (type >= kMaxStabilityTypes)
+    return Status::error("report_stability: more than kMaxStabilityTypes "
+                         "stability types");
   engines_[origin]->on_ack(type, options_.self, seq,
                            BytesView(extra.data(), extra.size()));
   mark_dirty(origin, type, seq, Bytes(extra.begin(), extra.end()));

@@ -51,6 +51,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/depth_scratch.hpp"
 #include "config/topology.hpp"
 #include "control/deferred_reporter.hpp"
 #include "control/frontier_engine.hpp"
@@ -490,8 +491,8 @@ class Stabilizer {
   void handle_data(NodeId src, const data::DataView& frame,
                    uint64_t wire_size);
   void handle_data_batch(NodeId src, const data::DataBatchFrame& batch);
-  void handle_ack_batch(const data::AckBatchFrame& frame);
-  void handle_report_batch(NodeId src, const data::ReportBatchFrame& frame);
+  void handle_ack_batch(const data::AckBatchView& frame);
+  void handle_report_batch(NodeId src, const data::ReportBatchView& frame);
   void handle_resume(NodeId src, const data::ResumeFrame& frame);
   void send_resume(NodeId peer, bool reply = false);
   void mark_peer_recovered(NodeId peer);
@@ -559,6 +560,12 @@ class Stabilizer {
   Transport& transport_;
   StabilityTypeRegistry types_;
   std::vector<std::unique_ptr<FrontierEngine>> engines_;  // per origin
+  // Receive-path scratch (DESIGN.md §4c): a control frame's reports grouped
+  // per origin engine, and the flat update lists of the origin rule, a
+  // delivery and a cell drain. One buffer per nesting depth (callbacks fired
+  // by a batch re-enter these paths), reused across frames.
+  DepthScratch<std::vector<std::vector<AckUpdate>>> per_origin_scratch_;
+  DepthScratch<std::vector<AckUpdate>> updates_scratch_;
   data::ReceiveTracker rx_;
   DeliveryHandler delivery_;
   RawHandler raw_handler_;
@@ -663,6 +670,7 @@ class Stabilizer {
     obs::Counter& failover_seqs_skipped;
     obs::Counter& failover_seqs_rolled_back;
     obs::Counter& waiters_fenced;
+    obs::Counter& frames_malformed;
     obs::Histogram& batch_frames;       // messages per encoded DATABATCH
     obs::Histogram& ack_flush_entries;  // entries per flushed ACKBATCH
     obs::Histogram& report_flush_entries;  // entries per flushed REPORTBATCH

@@ -358,6 +358,8 @@ DataBatchFrame decode_data_batch(BytesView frame) {
   out.first_seq = r.i64();
   uint32_t n = r.u32();
   if (n == 0) throw CodecError("empty DATABATCH");
+  if (n > r.remaining() / (4 + 8))  // each entry: blob length + virtual size
+    throw CodecError("DATABATCH count overruns the frame");
   out.entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     DataBatchFrame::Entry e;
@@ -368,52 +370,87 @@ DataBatchFrame decode_data_batch(BytesView frame) {
   return out;
 }
 
-AckBatchFrame decode_ack_batch(BytesView frame) {
+namespace {
+
+// Reads a report's type id, refusing ids that would size an ack table.
+void check_type(Reader& r) {
+  if (r.u32() >= kMaxStabilityTypes)
+    throw CodecError("stability type id at or above kMaxStabilityTypes");
+}
+
+const uint8_t* cursor(BytesView frame, const Reader& r) {
+  return frame.data() + (frame.size() - r.remaining());
+}
+
+}  // namespace
+
+// The view decoders walk every record once with the bounds-checked Reader
+// (a count can claim at most what the bytes left hold), so the ranges they
+// return read the same records unchecked.
+AckBatchView decode_ack_batch_view(BytesView frame) {
   WIRE_COUNT(kAckDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kAckBatch))
     throw CodecError("not an ACKBATCH frame");
-  AckBatchFrame out;
+  AckBatchView out;
   out.reporter = r.u32();
   out.primary_epoch = r.u32();
-  uint32_t n = r.u32();
-  out.entries.reserve(n);
+  const uint32_t n = r.u32();
+  const uint8_t* first = cursor(frame, r);
   for (uint32_t i = 0; i < n; ++i) {
-    AckEntry e;
-    e.about_origin = r.u32();
-    e.type = r.u32();
-    e.seq = r.i64();
-    e.extra = r.blob();
-    out.entries.push_back(std::move(e));
+    r.u32();  // about_origin
+    check_type(r);
+    r.i64();  // seq
+    r.blob_view();
   }
+  out.entries = {first, n};
   return out;
 }
 
-ReportBatchFrame decode_report_batch(BytesView frame) {
+ReportBatchView decode_report_batch_view(BytesView frame) {
   WIRE_COUNT(kReportDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kReportBatch))
     throw CodecError("not a REPORTBATCH frame");
-  ReportBatchFrame out;
+  ReportBatchView out;
   out.forwarder = r.u32();
-  uint32_t nblocks = r.u32();
+  const uint32_t nblocks = r.u32();
   if (nblocks == 0) throw CodecError("empty REPORTBATCH");
-  out.blocks.reserve(nblocks);
+  const uint8_t* first = cursor(frame, r);
   for (uint32_t i = 0; i < nblocks; ++i) {
-    ReportBlock b;
-    b.reporter = r.u32();
-    b.primary_epoch = r.u32();
-    uint32_t n = r.u32();
-    b.entries.reserve(n);
+    r.u32();  // reporter
+    r.u32();  // primary_epoch
+    const uint32_t n = r.u32();
     for (uint32_t j = 0; j < n; ++j) {
-      ReportEntry e;
-      e.about_origin = r.u32();
-      e.type = r.u32();
-      e.seq = r.i64();
-      b.entries.push_back(e);
+      r.u32();  // about_origin
+      check_type(r);
+      r.i64();  // seq
     }
-    out.blocks.push_back(std::move(b));
   }
+  out.blocks = {first, nblocks};
+  return out;
+}
+
+AckBatchFrame decode_ack_batch(BytesView frame) {
+  const AckBatchView v = decode_ack_batch_view(frame);
+  AckBatchFrame out;
+  out.reporter = v.reporter;
+  out.primary_epoch = v.primary_epoch;
+  out.entries.reserve(v.entries.size());
+  for (const AckEntryView& e : v.entries)
+    out.entries.push_back(AckEntry{e.about_origin, e.type, e.seq,
+                                   Bytes(e.extra.begin(), e.extra.end())});
+  return out;
+}
+
+ReportBatchFrame decode_report_batch(BytesView frame) {
+  const ReportBatchView v = decode_report_batch_view(frame);
+  ReportBatchFrame out;
+  out.forwarder = v.forwarder;
+  out.blocks.reserve(v.blocks.size());
+  for (const ReportBlockView& b : v.blocks)
+    out.blocks.push_back(ReportBlock{b.reporter, b.primary_epoch,
+                                     {b.entries.begin(), b.entries.end()}});
   return out;
 }
 

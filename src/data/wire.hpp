@@ -27,6 +27,9 @@
 // allocation (Writer never grows mid-encode).
 #pragma once
 
+#include <cstddef>
+#include <cstring>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -135,6 +138,128 @@ struct ReportBatchFrame {
   std::vector<ReportBlock> blocks;
 };
 
+// --- zero-copy control-frame views ---------------------------------------------
+// The receive path reads ACKBATCH and REPORTBATCH in place, as it reads DATA
+// through DataView: the decoder validates the whole frame up front and hands
+// out ranges that parse each record from the frame bytes as they are
+// iterated, so decoding allocates nothing and iteration cannot fail. Like
+// DataView, a view (and every BytesView it yields) is valid only while the
+// frame buffer it was decoded from lives. The views mirror the owning
+// structs' field names, so `for (e : frame.entries)` reads the same on both.
+
+namespace detail {
+
+template <typename T>
+T load(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// `count` records packed back to back in an already validated buffer.
+/// `Codec::read(p)` parses the record at p; `Codec::size(p)` is its length.
+template <typename Codec>
+class PackedRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = typename Codec::value_type;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    iterator() = default;
+    iterator(const uint8_t* p, uint32_t left) : p_(p), left_(left) {}
+    value_type operator*() const { return Codec::read(p_); }
+    iterator& operator++() {
+      p_ += Codec::size(p_);
+      --left_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator& o) const { return left_ == o.left_; }
+
+   private:
+    const uint8_t* p_ = nullptr;
+    uint32_t left_ = 0;
+  };
+
+  PackedRange() = default;
+  PackedRange(const uint8_t* first, uint32_t count)
+      : first_(first), count_(count) {}
+  iterator begin() const { return {first_, count_}; }
+  iterator end() const { return {}; }
+  uint32_t size() const { return count_; }
+
+ private:
+  const uint8_t* first_ = nullptr;
+  uint32_t count_ = 0;
+};
+
+}  // namespace detail
+
+/// One ACKBATCH entry read in place; `extra` aliases the frame.
+struct AckEntryView {
+  NodeId about_origin = kInvalidNode;
+  StabilityTypeId type = 0;
+  SeqNum seq = kNoSeq;
+  BytesView extra;
+};
+
+namespace detail {
+struct AckEntryCodec {  // u32 origin | u32 type | i64 seq | blob extra
+  using value_type = AckEntryView;
+  static AckEntryView read(const uint8_t* p) {
+    return {load<uint32_t>(p), load<uint32_t>(p + 4), load<int64_t>(p + 8),
+            BytesView(p + 20, load<uint32_t>(p + 16))};
+  }
+  static size_t size(const uint8_t* p) { return 20 + load<uint32_t>(p + 16); }
+};
+struct ReportEntryCodec {  // u32 origin | u32 type | i64 seq
+  using value_type = ReportEntry;
+  static ReportEntry read(const uint8_t* p) {
+    return {load<uint32_t>(p), load<uint32_t>(p + 4), load<int64_t>(p + 8)};
+  }
+  static size_t size(const uint8_t*) { return 16; }
+};
+}  // namespace detail
+
+struct AckBatchView {
+  NodeId reporter = kInvalidNode;
+  PrimaryEpoch primary_epoch = 0;
+  detail::PackedRange<detail::AckEntryCodec> entries;
+};
+
+/// One REPORTBATCH block read in place.
+struct ReportBlockView {
+  NodeId reporter = kInvalidNode;
+  PrimaryEpoch primary_epoch = 0;
+  detail::PackedRange<detail::ReportEntryCodec> entries;
+};
+
+namespace detail {
+struct ReportBlockCodec {  // u32 reporter | u32 epoch | u32 n | n x entry
+  using value_type = ReportBlockView;
+  static ReportBlockView read(const uint8_t* p) {
+    return {load<uint32_t>(p), load<uint32_t>(p + 4),
+            PackedRange<ReportEntryCodec>(p + 12, load<uint32_t>(p + 8))};
+  }
+  static size_t size(const uint8_t* p) {
+    return 12 + size_t{16} * load<uint32_t>(p + 8);
+  }
+};
+}  // namespace detail
+
+struct ReportBatchView {
+  NodeId forwarder = kInvalidNode;
+  detail::PackedRange<detail::ReportBlockCodec> blocks;
+};
+
 /// Session announcement from a restarted peer, tailored per destination.
 /// Duplicate delivery is harmless: receivers ignore epochs they have
 /// already processed, so the sender re-announces (from the retransmit
@@ -203,14 +328,21 @@ Bytes encode_data(NodeId origin, SeqNum seq, BytesView payload,
 /// application-reserved (>= 0x40) kind byte.
 std::optional<FrameKind> peek_kind(BytesView frame);
 
-/// Decoders throw CodecError on malformed input (transports are trusted to
-/// deliver whole frames; corruption is a programming error in this system).
+/// Decoders throw CodecError on malformed input: a truncated frame, a count
+/// that overruns the bytes left, or a stability type id at or above
+/// kMaxStabilityTypes. They never size a buffer from a count they have not
+/// checked against the frame, so hostile bytes cannot make them allocate.
 DataFrame decode_data(BytesView frame);
 /// Zero-copy decode: the returned payload aliases `frame`.
 DataView decode_data_view(BytesView frame);
 /// Zero-copy decode; throws CodecError on malformed input *and* on an
 /// empty batch (the encoder never produces one).
 DataBatchFrame decode_data_batch(BytesView frame);
+/// In-place decodes (see the views above): the whole frame is validated
+/// here, so iterating the result never fails.
+AckBatchView decode_ack_batch_view(BytesView frame);
+ReportBatchView decode_report_batch_view(BytesView frame);
+/// Owning decodes (copies of the views, for callers that keep frames).
 AckBatchFrame decode_ack_batch(BytesView frame);
 ReportBatchFrame decode_report_batch(BytesView frame);
 ResumeFrame decode_resume(BytesView frame);

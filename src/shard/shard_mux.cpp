@@ -1,6 +1,7 @@
 #include "shard/shard_mux.hpp"
 
 #include "data/wire.hpp"
+#include "obs/obs.hpp"
 
 namespace stab::shard {
 
@@ -84,7 +85,15 @@ void ShardMux::on_base_frame(NodeId src, BytesView frame, uint64_t wire_size) {
     unroutable_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const data::ShardFrameView v = data::decode_shard_view(frame);
+  data::ShardFrameView v;
+  try {
+    v = data::decode_shard_view(frame);
+  } catch (const CodecError&) {
+    // An envelope too short to name a shard: unroutable, and malformed.
+    unroutable_drops_.fetch_add(1, std::memory_order_relaxed);
+    STAB_OBS(obs::global().counter("core.frames_malformed").inc());
+    return;
+  }
   const uint64_t inner_wire = wire_size > data::kShardEnvelopeBytes
                                   ? wire_size - data::kShardEnvelopeBytes
                                   : v.inner.size();

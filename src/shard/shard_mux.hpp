@@ -56,8 +56,10 @@ class ShardMux {
   uint64_t frames_demuxed() const {
     return frames_demuxed_.load(std::memory_order_relaxed);
   }
-  /// Frames dropped: untagged (no SHARD envelope), tagged for a shard id
-  /// >= num_shards, or tagged for a facet with no armed handler. A healthy
+  /// Frames dropped: untagged (no SHARD envelope), an envelope too short to
+  /// hold a shard id (also counted in obs::global()'s core.frames_malformed),
+  /// tagged for a shard id >= num_shards, or tagged for a facet with no
+  /// armed handler. A healthy
   /// muxed cluster (every link muxed with the same shard count, every facet
   /// attached before traffic) keeps this at 0.
   uint64_t unroutable_drops() const {

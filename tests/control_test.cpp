@@ -802,7 +802,12 @@ TEST(DeferredReporter, AbsorbMaxMerges) {
   b.entries.push_back(data::ReportEntry{0, 0, 8});   // behind, ignored
   b.entries.push_back(data::ReportEntry{0, 0, 12});  // ahead, wins
   b.entries.push_back(data::ReportEntry{1, 1, 2});   // new cell
-  EXPECT_EQ(d.absorb(b), 2u);
+  // Absorbed as the receive path sees it: read in place from the frame.
+  data::ReportBatchFrame frame;
+  frame.forwarder = 2;
+  frame.blocks.push_back(b);
+  const Bytes enc = data::encode(frame);
+  EXPECT_EQ(d.absorb(*data::decode_report_batch_view(enc).blocks.begin()), 2u);
   auto blocks = d.take_flush();
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_EQ(blocks[0].primary_epoch, 5u);  // epoch max-merged too

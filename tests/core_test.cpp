@@ -4,6 +4,7 @@
 // fault injection with retransmission, and real-time blocking waits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -686,6 +687,84 @@ TEST(Core, OutOfRangeOriginIsRefused) {
   EXPECT_EQ(s.get_stability_frontier("all"), 0);
 }
 
+// --- hostile frame contents ------------------------------------------------------
+
+/// Frames a connected peer can send that must not decode: every core kind
+/// cut to its 3-byte {kind, 0, 0} prefix and to one byte short of a valid
+/// encoding, an ACKBATCH whose count claims 2^32-1 entries in 13 bytes, and
+/// well-formed ACKBATCH and REPORTBATCH frames naming type id 0xFFFFFFF0.
+std::vector<Bytes> malformed_frames() {
+  data::DataFrame d;
+  d.origin = 1;
+  d.seq = 0;
+  d.payload = to_bytes("x");
+  const Bytes payload = to_bytes("y");
+  data::DataBatchFrame b;
+  b.origin = 1;
+  b.first_seq = 0;
+  b.entries.push_back({payload, 0});
+  data::AckBatchFrame a;
+  a.reporter = 1;
+  a.entries.push_back(data::AckEntry{0, StabilityTypeRegistry::kReceived, 3, {}});
+  data::ReportBatchFrame r;
+  r.forwarder = 1;
+  r.blocks.push_back(data::ReportBlock{1, 0, {data::ReportEntry{0, 0, 3}}});
+  data::ResumeFrame resume;
+  resume.sender = 1;
+  std::vector<Bytes> out;
+  for (Bytes f : {data::encode(d), data::encode(b), data::encode(a),
+                  data::encode(r), data::encode(resume)}) {
+    out.push_back(Bytes{f[0], 0, 0});
+    f.pop_back();
+    out.push_back(std::move(f));
+  }
+  Writer lying;  // ACKBATCH: reporter 1, epoch 0, count 0xFFFFFFFF
+  lying.u8(static_cast<uint8_t>(data::FrameKind::kAckBatch));
+  lying.u32(1);
+  lying.u32(0);
+  lying.u32(0xFFFFFFFF);
+  out.push_back(std::move(lying).take());
+  a.entries[0].type = 0xFFFFFFF0;
+  out.push_back(data::encode(a));
+  r.blocks[0].entries[0].type = 0xFFFFFFF0;
+  out.push_back(data::encode(r));
+  return out;
+}
+
+// A peer's malformed frames are dropped and counted at the decode boundary:
+// the node survives, its ack tables and frontiers do not move, and it keeps
+// serving afterwards.
+TEST(Core, MalformedFramesAreDroppedAndCounted) {
+  SimFixture f(tiny_topology(3));
+  Stabilizer& s = f.node(0);
+  ASSERT_TRUE(s.register_predicate("all", "MIN($ALLWNODES)"));
+  for (NodeId n = 0; n < 3; ++n) f.node(n).send(to_bytes("m"));
+  f.sim.run();
+  auto state = [&] {
+    std::vector<SeqNum> out;
+    for (NodeId o = 0; o < 3; ++o) {
+      out.push_back(s.get_stability_frontier("all", o));
+      const AckTable& acks = s.engine(o).acks();
+      out.push_back(static_cast<SeqNum>(acks.num_types()));
+      for (StabilityTypeId t = 0; t < acks.num_types(); ++t)
+        for (NodeId n = 0; n < 3; ++n) out.push_back(acks.get(t, n));
+    }
+    return out;
+  };
+  const std::vector<SeqNum> before = state();
+  const std::vector<Bytes> frames = malformed_frames();
+  for (const Bytes& frame : frames) f.cluster->transport(1).send(0, frame);
+  f.sim.run();
+  EXPECT_EQ(state(), before);
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(s.metrics().counter("core.frames_malformed").value(),
+            frames.size());
+#endif
+  s.send(to_bytes("after"));
+  f.sim.run();
+  EXPECT_EQ(s.get_stability_frontier("all"), 1);
+}
+
 // --- real-time (in-process) ----------------------------------------------------
 
 TEST(CoreRealtime, BlockingWaitforOverInProc) {
@@ -748,6 +827,73 @@ TEST(Core, ReentrantMonitorCallsBackIn) {
   f.sim.run();
   EXPECT_GE(monitor_fired, 2);  // original + chained send both stabilized
   EXPECT_EQ(waiter_fired, monitor_fired);  // already-covered fires inline
+}
+
+// Callbacks that reshape the engine mid-dispatch. A monitor fired from a
+// batch's eval phase, while that batch still has "twin" to evaluate,
+// registers predicates on a brand-new stability type (growing every
+// engine's dense index), reports that type (a single-report dispatch) and
+// sends twice. The second send's origin rule is a nested batch on the same
+// engine that dirties the three new-type predicates, more entries than any
+// batch before it. The new predicate's monitor, fired from inside the
+// single-report dispatch, registers a second new type while that dispatch
+// is still walking its bucket. Final frontiers must equal the legacy scan's
+// on the same script, and every monitor must see monotone values. Firing
+// counts differ by design: the legacy scan fires per report.
+TEST(Core, ReentrantRegistrationMatchesLegacyScan) {
+  using Fires = std::map<std::string, std::vector<SeqNum>>;
+  const char* keys[] = {"all", "twin", "v1", "v1self", "v1min", "v2"};
+  auto run = [&keys](FrontierEngine::DispatchMode mode, Fires& fires) {
+    SimFixture f(tiny_topology(3));
+    for (NodeId n = 0; n < 3; ++n)
+      for (NodeId o = 0; o < 3; ++o) f.node(n).engine(o).set_dispatch_mode(mode);
+    Stabilizer& s = f.node(0);
+    auto record = [&fires](const std::string& key) {
+      return [&fires, key](SeqNum v, BytesView) { fires[key].push_back(v); };
+    };
+    EXPECT_TRUE(s.register_predicate("all", "MIN($ALLWNODES)"));
+    EXPECT_TRUE(s.register_predicate("twin", "MIN($ALLWNODES)"));
+    EXPECT_TRUE(s.monitor_stability_frontier("twin", record("twin")));
+    EXPECT_TRUE(s.monitor_stability_frontier("all", [&](SeqNum v, BytesView) {
+      fires["all"].push_back(v);
+      if (s.has_predicate("v1")) return;
+      EXPECT_TRUE(s.register_predicate("v1", "MAX($ALLWNODES.v1)"));
+      EXPECT_TRUE(s.register_predicate("v1self", "MAX($MYWNODE.v1)"));
+      EXPECT_TRUE(s.register_predicate("v1min", "MIN($MYWNODE.v1)"));
+      EXPECT_TRUE(s.monitor_stability_frontier("v1", [&](SeqNum w, BytesView) {
+        fires["v1"].push_back(w);
+        if (s.has_predicate("v2")) return;
+        EXPECT_TRUE(s.register_predicate("v2", "MAX($ALLWNODES.v2)"));
+        EXPECT_TRUE(s.monitor_stability_frontier("v2", record("v2")));
+        EXPECT_TRUE(s.report_stability("v2", 0, w + 1));
+      }));
+      // Past the origin rule's cell, so the report dispatches.
+      EXPECT_TRUE(s.report_stability("v1", 0, s.last_sent() + 1));
+      s.send(to_bytes("chained"));
+      s.send(to_bytes("chained"));
+    }));
+    for (int i = 0; i < 3; ++i)
+      for (NodeId n = 0; n < 3; ++n) f.node(n).send(to_bytes("m"));
+    f.sim.run();
+    std::map<std::string, SeqNum> frontiers;
+    for (NodeId n = 0; n < 3; ++n)
+      for (NodeId o = 0; o < 3; ++o)
+        for (const char* key : keys)
+          frontiers[std::to_string(n) + "/" + std::to_string(o) + "/" + key] =
+              f.node(n).get_stability_frontier(key, o);
+    return frontiers;
+  };
+  Fires indexed_fires, legacy_fires;
+  const auto indexed = run(FrontierEngine::DispatchMode::kIndexed, indexed_fires);
+  const auto legacy = run(FrontierEngine::DispatchMode::kLegacyScan, legacy_fires);
+  EXPECT_EQ(indexed, legacy);
+  for (const char* key : keys)  // the whole script ran
+    EXPECT_GE(indexed.at(std::string("0/0/") + key), 0) << key;
+  for (const Fires* fires : {&indexed_fires, &legacy_fires}) {
+    EXPECT_EQ(fires->size(), 4u);
+    for (const auto& [key, values] : *fires)
+      EXPECT_TRUE(std::is_sorted(values.begin(), values.end())) << key;
+  }
 }
 
 TEST(Core, StatsExposeControlPlaneEvalCounters) {

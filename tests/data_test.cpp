@@ -252,6 +252,109 @@ TEST(Wire, DataBatchMalformedThrows) {
   EXPECT_THROW(decode_data_batch(encode(DataFrame{})), CodecError);
 }
 
+// Counts come off the wire: one that claims more records than the bytes
+// left can hold is a CodecError before any buffer is sized from it, and so
+// is a stability type id at or above kMaxStabilityTypes.
+TEST(Wire, LyingCountsAndTypeIdsThrowCodecError) {
+  Writer ack;  // 13-byte ACKBATCH claiming 2^32-1 entries
+  ack.u8(static_cast<uint8_t>(FrameKind::kAckBatch));
+  ack.u32(1);
+  ack.u32(0);
+  ack.u32(0xFFFFFFFF);
+  const Bytes ack13 = std::move(ack).take();
+  ASSERT_EQ(ack13.size(), 13u);
+  EXPECT_THROW(decode_ack_batch(ack13), CodecError);
+  EXPECT_THROW(decode_ack_batch_view(ack13), CodecError);
+
+  Writer batch;  // DATABATCH claiming 2^32-1 entries
+  batch.u8(static_cast<uint8_t>(FrameKind::kDataBatch));
+  batch.u32(1);
+  batch.u32(0);
+  batch.i64(0);
+  batch.u32(0xFFFFFFFF);
+  EXPECT_THROW(decode_data_batch(std::move(batch).take()), CodecError);
+
+  Writer blocks;  // REPORTBATCH claiming 2^32-1 blocks
+  blocks.u8(static_cast<uint8_t>(FrameKind::kReportBatch));
+  blocks.u32(1);
+  blocks.u32(0xFFFFFFFF);
+  EXPECT_THROW(decode_report_batch(std::move(blocks).take()), CodecError);
+
+  Writer entries;  // one REPORTBATCH block claiming 2^32-1 entries
+  entries.u8(static_cast<uint8_t>(FrameKind::kReportBatch));
+  entries.u32(1);
+  entries.u32(1);
+  entries.u32(1);
+  entries.u32(0);
+  entries.u32(0xFFFFFFFF);
+  EXPECT_THROW(decode_report_batch(std::move(entries).take()), CodecError);
+
+  AckBatchFrame a;
+  a.reporter = 1;
+  a.entries.push_back(AckEntry{0, kMaxStabilityTypes - 1, 3, {}});
+  EXPECT_NO_THROW(decode_ack_batch(encode(a)));
+  a.entries.push_back(AckEntry{0, kMaxStabilityTypes, 3, {}});
+  EXPECT_THROW(decode_ack_batch(encode(a)), CodecError);
+  ReportBatchFrame r;
+  r.forwarder = 1;
+  r.blocks.push_back(ReportBlock{1, 0, {ReportEntry{0, 0xFFFFFFF0, 3}}});
+  EXPECT_THROW(decode_report_batch(encode(r)), CodecError);
+}
+
+// The in-place views read the records the owning decoders copy, and an
+// ACKBATCH extra aliases the frame.
+TEST(Wire, ControlViewsReadInPlace) {
+  AckBatchFrame a;
+  a.reporter = 5;
+  a.primary_epoch = 2;
+  a.entries.push_back(AckEntry{1, 0, 99, {}});
+  a.entries.push_back(AckEntry{2, 3, -1, to_bytes("extra")});
+  a.entries.push_back(AckEntry{0, 1, 7, {}});
+  const Bytes enc = encode(a);
+  const AckBatchView v = decode_ack_batch_view(enc);
+  EXPECT_EQ(v.reporter, 5u);
+  EXPECT_EQ(v.primary_epoch, 2u);
+  ASSERT_EQ(v.entries.size(), 3u);
+  size_t i = 0;
+  for (const AckEntryView& e : v.entries) {
+    const AckEntry& want = a.entries[i++];
+    EXPECT_EQ(e.about_origin, want.about_origin);
+    EXPECT_EQ(e.type, want.type);
+    EXPECT_EQ(e.seq, want.seq);
+    EXPECT_EQ(to_string(e.extra), to_string(want.extra));
+  }
+  EXPECT_EQ(i, 3u);
+  const BytesView extra = (*std::next(v.entries.begin())).extra;
+  EXPECT_GE(extra.data(), enc.data());
+  EXPECT_LT(extra.data(), enc.data() + enc.size());
+
+  ReportBatchFrame r;
+  r.forwarder = 9;
+  r.blocks.push_back(ReportBlock{3, 2, {ReportEntry{0, 0, 41},
+                                        ReportEntry{1, 7, kNoSeq}}});
+  r.blocks.push_back(ReportBlock{4, 0, {}});  // epoch-only relay
+  r.blocks.push_back(ReportBlock{6, 1, {ReportEntry{2, 1, 12345678901LL}}});
+  const Bytes renc = encode(r);
+  const ReportBatchView rv = decode_report_batch_view(renc);
+  EXPECT_EQ(rv.forwarder, 9u);
+  ASSERT_EQ(rv.blocks.size(), 3u);
+  size_t b = 0;
+  for (const ReportBlockView& blk : rv.blocks) {
+    const ReportBlock& want = r.blocks[b++];
+    EXPECT_EQ(blk.reporter, want.reporter);
+    EXPECT_EQ(blk.primary_epoch, want.primary_epoch);
+    ASSERT_EQ(blk.entries.size(), want.entries.size());
+    size_t j = 0;
+    for (const ReportEntry& e : blk.entries) {
+      EXPECT_EQ(e.about_origin, want.entries[j].about_origin);
+      EXPECT_EQ(e.type, want.entries[j].type);
+      EXPECT_EQ(e.seq, want.entries[j].seq);
+      ++j;
+    }
+  }
+  EXPECT_EQ(b, 3u);
+}
+
 TEST(Wire, EncodersAreSingleAllocation) {
   // Every encoder precomputes its exact frame size, so the returned vector's
   // capacity equals its size — a growth re-allocation would leave capacity

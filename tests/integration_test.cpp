@@ -66,6 +66,41 @@ TEST(TcpIntegration, FullStackOverRealSockets) {
   for (auto& t : transports) t->shutdown();
 }
 
+// A connected peer's truncated DATA frame {kind 1, 0, 0} is dropped and
+// counted by the receiving node, which keeps serving the same connection:
+// the next message still stabilizes everywhere.
+TEST(TcpIntegration, TruncatedFrameIsDroppedNotFatal) {
+  Topology topo;
+  topo.add_node("a", "east");
+  topo.add_node("b", "west");
+  topo.set_link(0, 1, LinkSpec{});
+  topo.set_link(1, 0, LinkSpec{});
+  auto addrs = free_loopback_addrs(2);
+  TcpTransport t0(0, addrs), t1(1, addrs);
+  ASSERT_TRUE(t0.wait_connected(seconds(10)));
+  ASSERT_TRUE(t1.wait_connected(seconds(10)));
+  std::vector<std::unique_ptr<Stabilizer>> nodes;
+  for (NodeId n = 0; n < 2; ++n) {
+    StabilizerOptions opts;
+    opts.topology = topo;
+    opts.self = n;
+    opts.ack_interval = millis(1);
+    nodes.push_back(std::make_unique<Stabilizer>(opts, n == 0 ? t0 : t1));
+  }
+  ASSERT_TRUE(nodes[0]->register_predicate("all", "MIN($ALLWNODES)"));
+  t0.send(1, Bytes{1, 0, 0});
+  const SeqNum seq = nodes[0]->send(to_bytes("after"));
+  EXPECT_TRUE(nodes[0]->waitfor_blocking(seq, "all", seconds(10)));
+#if STAB_OBS_ENABLED
+  // Same connection, FIFO: node 1 read the bad frame before the message it
+  // acknowledged.
+  EXPECT_EQ(nodes[1]->metrics().counter("core.frames_malformed").value(), 1u);
+#endif
+  nodes.clear();
+  t0.shutdown();
+  t1.shutdown();
+}
+
 TEST(TcpIntegration, NodeRestartHealsAndResumes) {
   // Kill one TCP node mid-run; peers buffer frames for it; a new transport
   // on the same port rejoins and the buffered frames flow.

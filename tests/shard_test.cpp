@@ -150,9 +150,12 @@ TEST(ShardMux, CountsUnroutableFrames) {
   f.cluster.transport(0).send(1, data::encode_shard_frame(7, to_bytes("x")));
   // Tagged for facet 1, which never armed a handler.
   f.mux0->facet(1).send(1, to_bytes("nobody home"));
+  // Envelopes too short to hold the u16 shard id: dropped, not thrown.
+  f.cluster.transport(0).send(1, Bytes{data::kShardEnvelopeKind});
+  f.cluster.transport(0).send(1, Bytes{data::kShardEnvelopeKind, 0});
   f.sim.run();
   EXPECT_EQ(f.mux1->frames_demuxed(), 0u);
-  EXPECT_EQ(f.mux1->unroutable_drops(), 3u);
+  EXPECT_EQ(f.mux1->unroutable_drops(), 5u);
 }
 
 TEST(ShardMux, SendSharedWrapsLikeSend) {
