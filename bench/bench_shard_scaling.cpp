@@ -6,7 +6,7 @@
 // payload, same producers) — only the shard count changes, so the curve
 // isolates what sharding buys: a single sequencer's throughput is capped by
 // its per-stream flow-control window over the round trip (send_window
-// messages in flight per go-back-N stream, refilled as the mirror's acks
+// messages in flight per stream, refilled as the mirror's acks
 // return — the bounded reorder/retransmit buffer every real mirror
 // imposes), and every producer's traffic funnels through that ONE window.
 // Producer p routes to shard p mod S, so S shards sequence S independent

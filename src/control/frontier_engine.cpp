@@ -170,7 +170,7 @@ Status FrontierEngine::monitor(const std::string& key, MonitorFn fn) {
   auto it = entries_.find(key);
   if (it == entries_.end())
     return Status::error("predicate '" + key + "' not registered");
-  it->second->monitors.push_back(std::move(fn));
+  it->second->monitors.push_back(std::make_unique<MonitorFn>(std::move(fn)));
   return Status::ok();
 }
 
@@ -365,7 +365,11 @@ void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
     }
   }
 #endif
-  for (const auto& m : entry.monitors) m(next, extra);
+  // By index up to the count before the first call: a monitor that adds
+  // monitors on this key appends to the vector, and those fire from the
+  // next advance on.
+  for (size_t i = 0, n = entry.monitors.size(); i < n; ++i)
+    (*entry.monitors[i])(next, extra);
   // Wake waiters whose seq is now covered (sorted ascending).
   size_t fired = 0;
   while (fired < entry.waiters.size() && entry.waiters[fired].seq <= next)

@@ -193,7 +193,10 @@ class FrontierEngine {
   struct Entry {
     dsl::Predicate predicate;
     SeqNum frontier = kNoSeq;
-    std::vector<MonitorFn> monitors;
+    // Each behind its own pointer: a monitor may add monitors on its own
+    // key while it runs, and growing the vector must not move the one
+    // being called.
+    std::vector<std::unique_ptr<MonitorFn>> monitors;
     std::vector<Waiter> waiters;  // kept sorted by seq ascending
     std::vector<size_t> index_cells;   // index_ buckets this entry sits in
     uint64_t batch_stamp = 0;          // dedup marker (see on_ack_batch)

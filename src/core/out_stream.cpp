@@ -82,24 +82,28 @@ void OutStream::probe() {
   for (NodeId peer = 0; peer < acked_at_probe_.size(); ++peer) {
     if (!is_destination(peer)) continue;
     SeqNum acked = acks.get(StabilityTypeRegistry::kReceived, peer);
-    if (acked >= out_.last() || acked > acked_at_probe_[peer]) {
-      // Caught up, or progress since the last probe: give the pipe time
-      // before resending.
-      acked_at_probe_[peer] = acked;
-      continue;
-    }
-    SeqNum from = std::max(acked + 1, out_.base());
-    SeqNum to = std::min<SeqNum>(
-        out_.last(),
-        from + static_cast<SeqNum>(node_.options_.retransmit_window) - 1);
-    for (SeqNum s = from; s <= to; ++s) {
-      if (const auto* slot = out_.get(s)) {
-        transmit(peer, *slot);
-        STAB_OBS(node_.ctr_.retransmits_sent.inc());
-      }
-    }
+    // Only a peer that is behind and whose ack has not moved since the last
+    // probe: progress means the pipe works, so give it time.
+    if (acked < out_.last() && acked <= acked_at_probe_[peer])
+      resend(peer, acked + 1, out_.last());
     acked_at_probe_[peer] = acked;
   }
+}
+
+bool OutStream::resend(NodeId peer, SeqNum from, SeqNum to) {
+  if (peer >= next_to_send_.size() || !is_destination(peer)) return false;
+  // Clamping both ends into the buffer first keeps the arithmetic below in
+  // range whatever seqs the peer names.
+  from = std::max(from, out_.base());
+  to = std::min({to, out_.last(), next_to_send_[peer] - 1});
+  if (from > to) return true;
+  const SeqNum window = static_cast<SeqNum>(node_.options_.retransmit_window);
+  if (to - from >= window) to = from + window - 1;
+  for (SeqNum s = from; s <= to; ++s) {
+    transmit(peer, *out_.get(s));
+    STAB_OBS(node_.ctr_.retransmits_sent.inc());
+  }
+  return true;
 }
 
 void OutStream::reclaim() {
@@ -110,7 +114,10 @@ void OutStream::reclaim() {
     if (!is_destination(peer)) continue;
     floor = std::min(floor, acks.get(StabilityTypeRegistry::kReceived, peer));
   }
-  if (floor >= out_.base()) out_.reclaim_through(floor);
+  if (floor >= out_.base()) {
+    out_.reclaim_through(floor);
+    reclaimed_ = floor;
+  }
 }
 
 void OutStream::rewind(NodeId peer, SeqNum from) {

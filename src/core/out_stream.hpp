@@ -22,6 +22,8 @@ class OutStream {
   NodeId origin() const { return origin_; }
   SeqNum last_assigned() const { return sequencer_.last_assigned(); }
   uint64_t buffered_bytes() const { return out_.buffered_bytes(); }
+  /// Highest seq reclaimed since construction (kNoSeq: none).
+  SeqNum reclaimed_through() const { return reclaimed_; }
   // For the own stream's snapshot and restore.
   data::Sequencer& sequencer() { return sequencer_; }
   data::OutBuffer& buffer() { return out_; }
@@ -32,9 +34,13 @@ class OutStream {
   /// Transmits to each destination up to send_window beyond its receive
   /// ack, packing runs of small messages into DATABATCH frames if enabled.
   void pump();
-  /// Go-back-N: resends up to retransmit_window messages to each
-  /// destination whose receive ack has not moved since the last probe.
+  /// The fallback repair: resends what follows its receive ack to each
+  /// destination whose ack has not moved since the last probe.
   void probe();
+  /// Resends [from, to] to `peer` (its NACK, or the probe), clamped to what
+  /// the buffer holds, what `peer` was sent and retransmit_window messages.
+  /// False when `peer` is not a destination of this stream.
+  bool resend(NodeId peer, SeqNum from, SeqNum to);
   /// Drops every message all destinations have received.
   void reclaim();
   /// `peer` restarted having delivered through `from - 1`: move its window
@@ -56,7 +62,8 @@ class OutStream {
   data::Sequencer sequencer_;
   data::OutBuffer out_;
   std::vector<SeqNum> next_to_send_;    // per-peer window cursor
-  std::vector<SeqNum> acked_at_probe_;  // per-peer go-back-N probe progress
+  std::vector<SeqNum> acked_at_probe_;  // per-peer ack at the last probe
+  SeqNum reclaimed_ = kNoSeq;
   // Last encoded DATABATCH, keyed by (first_seq, count). Sequence numbers
   // are never reused and slots are immutable until reclaim, so a hit is
   // always valid — a broadcast encodes each batch once and every peer's

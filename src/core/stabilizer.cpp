@@ -18,6 +18,8 @@ Stabilizer::Counters::Counters(obs::MetricsRegistry& r)
       duplicates_dropped(r.counter("data.duplicates_dropped")),
       gaps_detected(r.counter("data.gaps_detected")),
       retransmits_sent(r.counter("data.retransmits_sent")),
+      nacks_sent(r.counter("data.nacks_sent")),
+      nacks_dropped(r.counter("data.nacks_dropped")),
       data_encodes(r.counter("data.encodes")),
       shared_sends(r.counter("data.shared_sends")),
       frames_coalesced(r.counter("data.frames_coalesced")),
@@ -74,7 +76,6 @@ void Stabilizer::Counters::flush_pending() {
 Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
     : options_(std::move(options)),
       transport_(transport),
-      rx_(options_.topology.num_nodes()),
       excluded_(options_.topology.num_nodes(), false),
       dirty_(options_.topology.num_nodes()),
       reported_(options_.topology.num_nodes()) {
@@ -82,9 +83,12 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
   if (options_.self >= n)
     throw std::invalid_argument("Stabilizer: self node out of range");
   engines_.reserve(n);
-  for (NodeId origin = 0; origin < n; ++origin)
+  in_.reserve(n);
+  for (NodeId origin = 0; origin < n; ++origin) {
     engines_.push_back(std::make_unique<FrontierEngine>(
         options_.topology, options_.self, types_, options_.eval_mode));
+    in_.emplace_back(*this, origin);
+  }
 
 #if STAB_OBS_ENABLED
   metrics_.set_shard(options_.shard_label);
@@ -195,6 +199,12 @@ SeqNum Stabilizer::send_as(NodeId origin, BytesView payload,
   auto it = adopted_.find(origin);
   if (it == adopted_.end()) return kFencedSeq;
   return send_on(it->second, payload, virtual_size);
+}
+
+OutStream* Stabilizer::sequenced_stream(NodeId origin) {
+  if (origin == options_.self) return self_fenced_ ? nullptr : &own_;
+  auto it = adopted_.find(origin);
+  return it == adopted_.end() ? nullptr : &it->second;
 }
 
 SeqNum Stabilizer::send_on(OutStream& stream, BytesView payload,
@@ -313,10 +323,10 @@ void Stabilizer::on_frame(NodeId src, BytesView frame, uint64_t wire_size) {
   }
   // Bytes from a peer must never take the node down: a frame that does not
   // decode (truncated, a count that overruns it, a type id at or above
-  // kMaxStabilityTypes) is dropped and counted. Only the decode is guarded;
-  // exceptions from handlers and user callbacks propagate as before. The
-  // ACKBATCH and REPORTBATCH views read `frame` in place, which the
-  // transport keeps alive until this handler returns.
+  // kMaxStabilityTypes, a NACK range with from > to) is dropped and counted.
+  // Only the decode is guarded; exceptions from handlers and user callbacks
+  // propagate as before. The ACKBATCH and REPORTBATCH views read `frame` in
+  // place, which the transport keeps alive until this handler returns.
   auto decodes = [&](auto&& decode) {
     try {
       decode();
@@ -329,16 +339,22 @@ void Stabilizer::on_frame(NodeId src, BytesView frame, uint64_t wire_size) {
   switch (*kind) {
     case data::FrameKind::kData: {
       data::DataView v;
-      if (!decodes([&] { v = data::decode_data_view(frame); })) break;
-      if (!admit_data(src, v.origin, v.primary_epoch)) break;
-      handle_data(src, v, wire_size);
+      if (decodes([&] { v = data::decode_data_view(frame); }) &&
+          v.origin < in_.size())
+        in_[v.origin].on_data(src, v, wire_size);
       break;
     }
     case data::FrameKind::kDataBatch: {
       data::DataBatchFrame batch;
-      if (!decodes([&] { batch = data::decode_data_batch(frame); })) break;
-      if (!admit_data(src, batch.origin, batch.primary_epoch)) break;
-      handle_data_batch(src, batch);
+      if (decodes([&] { batch = data::decode_data_batch(frame); }) &&
+          batch.origin < in_.size())
+        in_[batch.origin].on_batch(src, batch);
+      break;
+    }
+    case data::FrameKind::kNack: {
+      data::NackFrame nack;
+      if (decodes([&] { nack = data::decode_nack(frame); }))
+        handle_nack(src, nack);
       break;
     }
     case data::FrameKind::kAckBatch: {
@@ -362,28 +378,15 @@ void Stabilizer::on_frame(NodeId src, BytesView frame, uint64_t wire_size) {
   }
 }
 
-bool Stabilizer::admit_data(NodeId src, NodeId origin, PrimaryEpoch epoch) {
-  if (origin >= stream_epoch_.size()) return false;
-  const PrimaryEpoch known = stream_epoch_[origin];
-  if (epoch < known || (epoch == known && src != stream_primary_[origin])) {
-    // Stale authority: a zombie ex-primary (or an impostor) extending a
-    // sequence space the cluster has moved past. Counted, never delivered.
-    STAB_OBS(ctr_.fenced_frames.inc());
-    STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kFenceDrop, options_.self,
-               origin, kNoSeq, src, "stale_epoch");
-    return false;
-  }
-  if (epoch > known) {
-    // The new primary's traffic raced its takeover announcement here. Drop —
-    // we cannot authenticate the authority yet — and count; the announcement
-    // arrives (the winner re-broadcasts it) and the go-back-N probe then
-    // retransmits everything we refused.
-    STAB_OBS(ctr_.epoch_ahead_drops.inc());
-    STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kFenceDrop, options_.self,
-               origin, kNoSeq, src, "epoch_ahead");
-    return false;
-  }
-  return true;
+void Stabilizer::handle_nack(NodeId src, const data::NackFrame& nack) {
+  OutStream* stream =
+      nack.origin < stream_epoch_.size() ? sequenced_stream(nack.origin)
+                                         : nullptr;
+  // A NACK for another epoch names a sequence space this node does not
+  // hold: an older authority's, or a newer one it has not learned yet.
+  if (stream == nullptr || nack.primary_epoch != stream_epoch_[nack.origin] ||
+      !stream->resend(src, nack.from, nack.to))
+    STAB_OBS(ctr_.nacks_dropped.inc());
 }
 
 // --- lock-free report cells (DESIGN.md §4f) ----------------------------------
@@ -431,84 +434,6 @@ void Stabilizer::drain_pipeline() {
     // drain attempt from a callback no-op'd into this loop.
   } while (!stopped_ && pipeline_->has_pending());
   draining_ = false;
-}
-
-void Stabilizer::handle_data_batch(NodeId src,
-                                   const data::DataBatchFrame& batch) {
-  // Unpack and run each message through the ordinary per-message path, in
-  // order — the receive tracker, acks, session semantics, and the delivery
-  // handler cannot tell coalesced messages from singles. Per-message wire
-  // accounting reconstructs the batch's footprint: 12 bytes of entry header
-  // plus payload and padding each, with the 21-byte frame header charged to
-  // the first message.
-  for (size_t i = 0; i < batch.entries.size(); ++i) {
-    const data::DataBatchFrame::Entry& e = batch.entries[i];
-    data::DataView m;
-    m.origin = batch.origin;
-    m.primary_epoch = batch.primary_epoch;
-    m.seq = batch.first_seq + static_cast<SeqNum>(i);
-    m.payload = e.payload;
-    m.virtual_size = e.virtual_size;
-    uint64_t wire =
-        12 + e.payload.size() + e.virtual_size + (i == 0 ? 21 : 0);
-    handle_data(src, m, wire);
-  }
-}
-
-void Stabilizer::handle_data(NodeId src, const data::DataView& frame,
-                             uint64_t wire_size) {
-  (void)src;
-  if (frame.origin >= options_.topology.num_nodes()) return;
-  // Our own stream never re-delivers to us — after a takeover of our stream
-  // the acting primary skips us anyway, but a retransmit raced against the
-  // fence could still arrive; delivering our own messages back would corrupt
-  // the origin rule.
-  if (frame.origin == options_.self) return;
-  switch (rx_.on_frame(frame.origin, frame.seq)) {
-    case data::ReceiveTracker::Verdict::kStaleDuplicate:
-      STAB_OBS(ctr_.duplicates_dropped.inc());
-      return;
-    case data::ReceiveTracker::Verdict::kGap:
-      STAB_OBS(ctr_.gaps_detected.inc());
-      return;  // go-back-N: wait for the retransmitted tail
-    case data::ReceiveTracker::Verdict::kAccept:
-      break;
-  }
-  STAB_OBS(++ctr_.pending_messages_delivered);
-  STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kDeliver, options_.self,
-             frame.origin, frame.seq, src);
-  if (STAB_PROBE_SAMPLED(probe_, frame.seq))
-    STAB_PROBE(probe_, on_deliver(options_.self, frame.origin, frame.seq,
-                                  env().now()));
-
-  FrontierEngine& engine = *engines_[frame.origin];
-  // Origin rule for the remote stream (the stream's sequencing authority has
-  // every property for the messages it sequenced) plus our own receipt,
-  // applied as one batch. After a failover the authority is the acting
-  // primary, not the origin node — crediting the dead origin would wedge
-  // MIN-over-all predicates forever.
-  const NodeId authority = stream_primary_[frame.origin];
-  {
-    auto lease = updates_scratch_.acquire();
-    std::vector<AckUpdate>& updates = *lease;
-    updates.clear();
-    for (StabilityTypeId t = 0; t < types_.count(); ++t)
-      updates.push_back(AckUpdate{t, authority, frame.seq, {}});
-    updates.push_back(AckUpdate{StabilityTypeRegistry::kReceived,
-                                options_.self, frame.seq, {}});
-    engine.on_ack_batch(updates);
-  }
-  mark_dirty(frame.origin, StabilityTypeRegistry::kReceived, frame.seq, {});
-
-  if (delivery_)
-    delivery_(frame.origin, frame.seq, frame.payload, wire_size);
-
-  if (options_.auto_report_delivered) {
-    engine.on_ack(StabilityTypeRegistry::kDelivered, options_.self,
-                  frame.seq);
-    mark_dirty(frame.origin, StabilityTypeRegistry::kDelivered, frame.seq,
-               {});
-  }
 }
 
 void Stabilizer::handle_ack_batch(const data::AckBatchView& frame) {
@@ -596,7 +521,7 @@ void Stabilizer::send_resume(NodeId peer, bool reply) {
   frame.sender = options_.self;
   frame.primary_epoch = stream_epoch_[options_.self];
   frame.epoch = session_epoch_;
-  frame.receive_through = rx_.received_through(peer);
+  frame.receive_through = in_[peer].received_through();
   frame.reply = reply;
   transport_.send_shared(peer,
                          std::make_shared<const Bytes>(data::encode(frame)));
@@ -619,9 +544,10 @@ void Stabilizer::handle_resume(NodeId src, const data::ResumeFrame& frame) {
   if (frame.epoch > peer_epoch_[src]) {
     peer_epoch_[src] = frame.epoch;
 
-    // Rewind our own stream's go-back-N to the reborn peer's persisted
+    // Rewind our own stream's send cursor to the reborn peer's persisted
     // delivery cursor; frames it lost with its volatile state retransmit
-    // from the send buffer. (Adopted streams heal through the probe.)
+    // from the send buffer. (Adopted streams heal through NACKs and the
+    // probe.)
     own_.rewind(src, frame.receive_through + 1);
 
     // Re-issue every cumulative stability report so the peer rebuilds its
@@ -1036,7 +962,7 @@ Bytes Stabilizer::snapshot_control_state() const {
   const size_t n = options_.topology.num_nodes();
   w.u32(static_cast<uint32_t>(n));
   for (NodeId origin = 0; origin < n; ++origin) {
-    w.i64(rx_.received_through(origin));
+    w.i64(in_[origin].received_through());
     const AckTable& acks = engines_[origin]->acks();
     w.u32(static_cast<uint32_t>(acks.num_types()));
     for (StabilityTypeId t = 0; t < acks.num_types(); ++t)
@@ -1066,10 +992,7 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
         PrimaryEpoch epoch = r.u32();
         NodeId primary = r.u32();
         if (i >= stream_epoch_.size()) continue;
-        if (epoch > stream_epoch_[i]) {
-          stream_epoch_[i] = epoch;
-          stream_primary_[i] = primary;
-        }
+        if (epoch > stream_epoch_[i]) learn_authority(i, epoch, primary);
       }
       if (stream_primary_[options_.self] != options_.self && !self_fenced_)
         fence_self();
@@ -1080,7 +1003,7 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
     if (version >= 2) {
       SeqNum snap_base = r.i64();
       uint32_t count = r.u32();
-      // Refill the send buffer so the reborn instance can serve go-back-N
+      // Refill the send buffer so the reborn instance can serve the
       // retransmissions for peers that were behind at crash time. Skipped
       // when restoring a stale snapshot into an instance that has already
       // advanced past it (monotonic-merge semantics: live state wins).
@@ -1114,7 +1037,7 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
     if (n != options_.topology.num_nodes())
       return Status::error("restore: topology size mismatch");
     for (NodeId origin = 0; origin < n; ++origin) {
-      rx_.restore(origin, r.i64());
+      in_[origin].restore(r.i64());
       uint32_t ntypes_origin = r.u32();
       for (StabilityTypeId t = 0; t < ntypes_origin; ++t)
         for (NodeId node = 0; node < n; ++node) {
@@ -1139,7 +1062,7 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
     // Re-announce the restored delivery cursors so peers rebuild their ack
     // tables about us without waiting for new traffic.
     for (NodeId origin = 0; origin < n; ++origin) {
-      SeqNum cursor = rx_.received_through(origin);
+      SeqNum cursor = in_[origin].received_through();
       if (origin == options_.self || cursor == kNoSeq) continue;
       mark_dirty(origin, StabilityTypeRegistry::kReceived, cursor, {});
       if (options_.auto_report_delivered)
@@ -1407,8 +1330,7 @@ Status Stabilizer::adopt_stream(NodeId origin, SeqNum start_seq,
        stream_primary_[origin] != options_.self))
     return Status::error("adopt_stream: stale epoch");
   if (epoch > stream_epoch_[origin]) {
-    stream_epoch_[origin] = epoch;
-    stream_primary_[origin] = options_.self;
+    learn_authority(origin, epoch, options_.self);
     STAB_OBS(ctr_.takeovers_observed.inc());
   }
   adopted_.erase(origin);
@@ -1427,6 +1349,10 @@ Status Stabilizer::observe_takeover(NodeId origin, NodeId new_primary,
   if (origin >= stream_epoch_.size() ||
       new_primary >= options_.topology.num_nodes())
     return Status::error("observe_takeover: bad node id");
+  // A peer's TAKEOVER carries start_seq; the receive cursor it sets must
+  // stay non-negative.
+  if (start_seq < kNoSeq)
+    return Status::error("observe_takeover: bad start_seq");
   if (epoch < stream_epoch_[origin])
     return Status::error("observe_takeover: stale epoch");
   if (epoch == stream_epoch_[origin]) {
@@ -1442,8 +1368,7 @@ Status Stabilizer::observe_takeover(NodeId origin, NodeId new_primary,
     return Status::ok();
   }
 
-  stream_epoch_[origin] = epoch;
-  stream_primary_[origin] = new_primary;
+  learn_authority(origin, epoch, new_primary);
   STAB_OBS(ctr_.takeovers_observed.inc());
 
   if (origin == options_.self) {
@@ -1472,16 +1397,23 @@ void Stabilizer::fence_self() {
   (void)failed;
 }
 
+void Stabilizer::learn_authority(NodeId origin, PrimaryEpoch epoch,
+                                 NodeId primary) {
+  stream_epoch_[origin] = epoch;
+  stream_primary_[origin] = primary;
+  in_[origin].discard_held();
+}
+
 void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
                                        bool allow_rollback) {
   const SeqNum target = start_seq - 1;  // new authority resumes AT start_seq
-  const SeqNum cur = rx_.received_through(origin);
+  const SeqNum cur = in_[origin].received_through();
   if (target > cur) {
     // Fast-forward: seqs in (cur, target] are lost to this node (the dead
     // primary's buffer is gone; nobody can retransmit them). Cumulative
     // stability reports jump the gap — frontier semantics are "through seq",
     // so waiters at gap seqs complete once post-takeover traffic stabilizes.
-    rx_.restore(origin, target);
+    in_[origin].restore(target);
     STAB_OBS(
         ctr_.failover_seqs_skipped.inc(static_cast<uint64_t>(target - cur)));
     FrontierEngine& engine = *engines_[origin];
@@ -1500,7 +1432,7 @@ void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
     // the FIRST learn of the epoch may rewind: later re-announcements of
     // the same takeover see a cursor that has legitimately progressed under
     // the new authority (observe_takeover passes allow_rollback=false).
-    SeqNum down = rx_.reset(origin, target);
+    SeqNum down = in_[origin].reset(target);
     STAB_OBS(
         if (down) ctr_.failover_seqs_rolled_back.inc(
             static_cast<uint64_t>(down)));
@@ -1561,7 +1493,14 @@ StabilizerStats Stabilizer::stats() const {
 
 SeqNum Stabilizer::delivered_through(NodeId origin) const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return rx_.received_through(origin);
+  return in_.at(origin).received_through();
+}
+
+SeqNum Stabilizer::reclaimed_through(NodeId origin) const {
+  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  const OutStream* stream =
+      const_cast<Stabilizer*>(this)->sequenced_stream(resolve_origin(origin));
+  return stream ? stream->reclaimed_through() : kNoSeq;
 }
 
 uint64_t Stabilizer::session_epoch() const {

@@ -3,7 +3,8 @@
 // One Stabilizer instance runs per WAN node (data center). It owns:
 //   * the data plane: primary-site sequencing of the local stream, eager
 //     streaming of every message to every peer, send buffering until global
-//     receipt, optional go-back-N retransmission for lossy links;
+//     receipt, and selective-repeat repair for lossy links (out-of-order
+//     frames held, each hole NACKed once, a retransmit probe as fallback);
 //   * the control plane: one FrontierEngine per origin stream (an SST-style
 //     AckTable plus the registered stability-frontier predicates), fed by a
 //     continuous monotonic ACK stream that is batched per ack_interval;
@@ -55,9 +56,9 @@
 #include "config/topology.hpp"
 #include "control/deferred_reporter.hpp"
 #include "control/frontier_engine.hpp"
+#include "core/in_stream.hpp"
 #include "core/out_stream.hpp"
 #include "core/pipeline.hpp"
-#include "data/receive_tracker.hpp"
 #include "data/wire.hpp"
 #include "dsl/predicate.hpp"
 #include "net/transport.hpp"
@@ -73,9 +74,14 @@ struct StabilizerOptions {
   /// this often. Monotonicity makes coalescing lossless (§III-A).
   Duration ack_interval = millis(2);
 
-  /// Go-back-N retransmission probe period; zero disables (the default —
-  /// the bundled transports are lossless FIFO). Enable on lossy links.
+  /// Retransmission probe period; zero disables (the default — the bundled
+  /// transports are lossless FIFO). Enable on lossy links. The probe is the
+  /// fallback repair: a mirror NACKs each hole it sees at once, and the
+  /// probe resends when a peer's receive ack has stalled for a period.
   Duration retransmit_timeout = Duration::zero();
+  /// Messages a probe resends to a stalled peer, messages one NACK may
+  /// resend, and how far past its contiguous prefix a mirror holds
+  /// out-of-order frames.
   size_t retransmit_window = 256;
 
   /// Crash detection (§III-E "The crashed secondary node can be observed by
@@ -198,7 +204,8 @@ struct StabilizerStats {
   uint64_t report_blocks_fenced = 0;   // blocks dropped: deposed reporter
   uint64_t duplicates_dropped = 0;
   uint64_t gaps_detected = 0;
-  uint64_t retransmits_sent = 0;  // DATA frames re-sent by the go-back-N probe
+  // DATA frames re-sent, for a NACK or by the retransmit probe.
+  uint64_t retransmits_sent = 0;
   // §III-E failure-episode accounting. A stall episode opens when the
   // peer-stall handler fires and closes when the recovered handler fires;
   // both are exactly-once per episode, so after every fault has healed
@@ -223,8 +230,8 @@ struct StabilizerStats {
   // Primary failover (epoch fencing; DESIGN.md §6). fenced_frames counts
   // frames dropped for carrying a *stale* primary epoch (the zombie
   // ex-primary signature); epoch_ahead_drops counts frames from a *newer*
-  // epoch than this node has learned (healed by retransmission once the
-  // takeover announcement lands).
+  // epoch than this node has learned (repaired by a NACK or the probe once
+  // the takeover announcement lands).
   uint64_t fenced_frames = 0;
   uint64_t epoch_ahead_drops = 0;
   uint64_t takeovers_observed = 0;   // epoch bumps applied (adopt or observe)
@@ -398,7 +405,7 @@ class Stabilizer {
   ///
   /// Rejoin: restoring bumps the session epoch and announces RESUME
   /// (epoch, receive_through) to every non-excluded peer; peers rewind their
-  /// go-back-N cursor to our persisted delivery cursor and re-issue their
+  /// send cursor to our persisted delivery cursor and re-issue their
   /// cumulative stability reports and answer with a RESUME reply. The
   /// announcement is re-sent with every retransmit probe until that reply
   /// arrives — only a frame sent causally after the announcement proves it
@@ -464,6 +471,11 @@ class Stabilizer {
   // --- introspection ------------------------------------------------------------
   SeqNum last_sent() const;
   SeqNum delivered_through(NodeId origin) const;
+  /// Highest seq of `origin`'s stream (default: own stream) that this node,
+  /// as the stream's sequencer, has reclaimed from its send buffer. kNoSeq
+  /// when it has reclaimed nothing or does not sequence that stream (a
+  /// fenced own stream included).
+  SeqNum reclaimed_through(NodeId origin = kInvalidNode) const;
   /// Snapshot of the counters, with the control-plane eval counters
   /// aggregated across every origin engine at call time.
   StabilizerStats stats() const;
@@ -488,9 +500,13 @@ class Stabilizer {
     return origin == kInvalidNode ? options_.self : origin;
   }
   void on_frame(NodeId src, BytesView frame, uint64_t wire_size);
-  void handle_data(NodeId src, const data::DataView& frame,
-                   uint64_t wire_size);
-  void handle_data_batch(NodeId src, const data::DataBatchFrame& batch);
+  /// Resends the range a mirror NACKed, when it names a stream this node
+  /// sequences under the current epoch and comes from one of its
+  /// destinations; otherwise drops and counts it.
+  void handle_nack(NodeId src, const data::NackFrame& nack);
+  /// The stream this node sequences for `origin` — its own unless fenced,
+  /// or an adopted one — or null.
+  OutStream* sequenced_stream(NodeId origin);
   void handle_ack_batch(const data::AckBatchView& frame);
   void handle_report_batch(NodeId src, const data::ReportBatchView& frame);
   void handle_resume(NodeId src, const data::ResumeFrame& frame);
@@ -533,14 +549,14 @@ class Stabilizer {
   void arm_flush();
 
   // --- failover fencing / adopted streams (DESIGN.md §6) ---------------------
-  /// Admission check for DATA/DATABATCH: stale epoch or a sender that is not
-  /// the stream's learned authority -> drop (fenced); newer epoch than we
-  /// have learned -> drop (ahead; heals by retransmit after the takeover
-  /// announcement lands). Callers hold mutex_.
-  bool admit_data(NodeId src, NodeId origin, PrimaryEpoch epoch);
   /// Deposed as primary of our own stream: fail own-stream waiters with
   /// kFencedSeq and refuse further send()s. Caller holds mutex_.
   void fence_self();
+  /// Learns `primary` as `origin`'s sequencing authority under the newer
+  /// `epoch`. Discards the frames the receive stream holds past a hole: the
+  /// old authority sent them, and the new one sequences its own messages
+  /// under the same seqs.
+  void learn_authority(NodeId origin, PrimaryEpoch epoch, NodeId primary);
   /// Move `origin`'s delivery cursor to exactly start_seq - 1 for an epoch
   /// boundary, counting skips (fast-forward) or rollbacks (re-delivery of an
   /// overlapping old-epoch suffix under the new authority).
@@ -566,7 +582,7 @@ class Stabilizer {
   // by a batch re-enter these paths), reused across frames.
   DepthScratch<std::vector<std::vector<AckUpdate>>> per_origin_scratch_;
   DepthScratch<std::vector<AckUpdate>> updates_scratch_;
-  data::ReceiveTracker rx_;
+  std::vector<InStream> in_;  // per origin: receive cursor and held frames
   DeliveryHandler delivery_;
   RawHandler raw_handler_;
   std::vector<bool> excluded_;
@@ -650,6 +666,8 @@ class Stabilizer {
     obs::Counter& duplicates_dropped;
     obs::Counter& gaps_detected;
     obs::Counter& retransmits_sent;
+    obs::Counter& nacks_sent;
+    obs::Counter& nacks_dropped;
     obs::Counter& data_encodes;
     obs::Counter& shared_sends;
     obs::Counter& frames_coalesced;
@@ -709,9 +727,12 @@ class Stabilizer {
   mutable uint64_t trace_dropped_synced_ = 0;
 #endif
 
+  // The receive and send sides of the data plane are parts of this node:
+  // they read and write its state under mutex_.
+  friend class InStream;
+  friend class OutStream;
   // The streams this node sequences: its own, and by origin the ones it won
   // in failover elections.
-  friend class OutStream;
   OutStream own_{*this, options_.self, 0};
   std::map<NodeId, OutStream> adopted_;
   mutable std::recursive_mutex mutex_;

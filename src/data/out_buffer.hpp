@@ -6,8 +6,8 @@
 //
 // OutBuffer: holds sent messages until every peer has acknowledged receipt,
 // at which point "the buffer space is reclaimed" (§III-B). It also serves
-// retransmission reads for the go-back-N reliability layer used on lossy
-// links.
+// the resends that repair loss on lossy links (NACKed ranges and the
+// retransmit probe).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,7 @@ class OutBuffer {
     Bytes payload;
     uint64_t virtual_size;
     /// Encoded wire frame, filled lazily on first transmission and reused by
-    /// every peer fan-out and go-back-N retransmit (encode-once). Shared so
+    /// every peer fan-out and retransmit (encode-once). Shared so
     /// transports can hold the buffer refcounted after the slot is
     /// reclaimed. Not counted by buffered_bytes(): that figure models the
     /// paper's application buffer occupancy, and the cache is an encoding

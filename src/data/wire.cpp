@@ -1,5 +1,6 @@
 #include "data/wire.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -37,11 +38,13 @@ enum WireSite : size_t {
   kAckEnc,
   kReportEnc,
   kResumeEnc,
+  kNackEnc,
   kDataDec,
   kBatchDec,
   kAckDec,
   kReportDec,
   kResumeDec,
+  kNackDec,
   kNumWireSites,
 };
 
@@ -66,6 +69,8 @@ std::array<WireSiteCounters, kNumWireSites>& site_counters() {
                      &g.counter("wire.report_encode_bytes")};
     t[kResumeEnc] = {&g.counter("wire.resume_encodes"),
                      &g.counter("wire.resume_encode_bytes")};
+    t[kNackEnc] = {&g.counter("wire.nack_encodes"),
+                   &g.counter("wire.nack_encode_bytes")};
     t[kDataDec] = {&g.counter("wire.data_decodes"),
                    &g.counter("wire.data_decode_bytes")};
     t[kBatchDec] = {&g.counter("wire.batch_decodes"),
@@ -76,6 +81,8 @@ std::array<WireSiteCounters, kNumWireSites>& site_counters() {
                      &g.counter("wire.report_decode_bytes")};
     t[kResumeDec] = {&g.counter("wire.resume_decodes"),
                      &g.counter("wire.resume_decode_bytes")};
+    t[kNackDec] = {&g.counter("wire.nack_decodes"),
+                   &g.counter("wire.nack_decode_bytes")};
     return t;
   }();
   return tbl;
@@ -179,8 +186,10 @@ void flush_wire_counters() {}
 //   REPORTBATCH u8 kind | u32 forwarder | u32 nblocks
 //             | nblocks x { u32 reporter | u32 epoch | u32 nentries
 //               | nentries x { u32 origin | u32 type | i64 seq } }
+//   NACK      u8 kind | u32 origin | u32 epoch | i64 from | i64 to
 // REPORTBATCH carries the block reporters' epochs (not the forwarder's):
 // an aggregator relays vectors it did not produce, so fencing is per block.
+// NACK carries the epoch of the stream it names, as DATA does.
 
 Bytes encode_data(NodeId origin, SeqNum seq, BytesView payload,
                   uint64_t virtual_size, PrimaryEpoch primary_epoch) {
@@ -279,6 +288,18 @@ Bytes encode(const ResumeFrame& frame) {
   return out;
 }
 
+Bytes encode(const NackFrame& frame) {
+  Writer w(1 + 4 + 4 + 8 + 8);
+  w.u8(static_cast<uint8_t>(FrameKind::kNack));
+  w.u32(frame.origin);
+  w.u32(frame.primary_epoch);
+  w.i64(frame.from);
+  w.i64(frame.to);
+  Bytes out = std::move(w).take();
+  WIRE_COUNT(kNackEnc, out.size());
+  return out;
+}
+
 // SHARD envelope: u8 kind (0x50) | u16 shard | inner frame bytes. The inner
 // frame is appended raw (no length prefix) — the envelope always wraps one
 // whole transport frame, so the inner extent is "the rest of the buffer".
@@ -317,6 +338,7 @@ std::optional<FrameKind> peek_kind(BytesView frame) {
     return FrameKind::kDataBatch;
   if (k == static_cast<uint8_t>(FrameKind::kReportBatch))
     return FrameKind::kReportBatch;
+  if (k == static_cast<uint8_t>(FrameKind::kNack)) return FrameKind::kNack;
   return std::nullopt;
 }
 
@@ -360,6 +382,8 @@ DataBatchFrame decode_data_batch(BytesView frame) {
   if (n == 0) throw CodecError("empty DATABATCH");
   if (n > r.remaining() / (4 + 8))  // each entry: blob length + virtual size
     throw CodecError("DATABATCH count overruns the frame");
+  if (out.first_seq > std::numeric_limits<SeqNum>::max() - (n - 1))
+    throw CodecError("DATABATCH seq range overflows");
   out.entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     DataBatchFrame::Entry e;
@@ -465,6 +489,20 @@ ResumeFrame decode_resume(BytesView frame) {
   out.epoch = r.u64();
   out.receive_through = r.i64();
   out.reply = r.u8() != 0;
+  return out;
+}
+
+NackFrame decode_nack(BytesView frame) {
+  WIRE_COUNT(kNackDec, frame.size());
+  Reader r(frame);
+  if (r.u8() != static_cast<uint8_t>(FrameKind::kNack))
+    throw CodecError("not a NACK frame");
+  NackFrame out;
+  out.origin = r.u32();
+  out.primary_epoch = r.u32();
+  out.from = r.i64();
+  out.to = r.i64();
+  if (out.from > out.to) throw CodecError("NACK range with from > to");
   return out;
 }
 

@@ -1,15 +1,19 @@
 // Wire protocol of the Stabilizer data and control planes.
 //
-// Five frame families share each transport link:
+// Six frame families share each transport link:
 //   * DATA     — sequenced payload of one origin's stream (data plane),
 //   * DATABATCH— several consecutive small DATA frames of one stream packed
 //     into a single transport frame (the data-plane fast path's small-frame
 //     coalescing; receivers unpack and run the ordinary per-message path, so
-//     FIFO order and the receive tracker see no difference),
+//     FIFO order and the receive stream see no difference),
+//   * NACK     — a receive stream's repair request to the stream's primary:
+//     "resend [from, to] of this stream", sent once per new hole (data
+//     plane; the primary resends exactly that range),
 //   * ACKBATCH — batched monotonic stability reports (control plane),
 //   * RESUME   — a restarted node's session announcement: "I am epoch E and
-//     hold your stream through seq S"; the receiver rewinds go-back-N to
-//     S+1 and re-issues its cumulative reports (crash–restart rejoin),
+//     hold your stream through seq S"; the receiver rewinds its send
+//     cursor to S+1 and re-issues its cumulative reports (crash–restart
+//     rejoin),
 //   * REPORTBATCH — deferred control plane: the merged cumulative report
 //     vectors of one or more reporters in a single frame. A mirror running
 //     deferred propagation flushes its own vector on a timer/delta
@@ -44,6 +48,7 @@ enum class FrameKind : uint8_t {
   kResume = 3,
   kDataBatch = 4,
   kReportBatch = 5,
+  kNack = 6,
 };
 
 struct DataFrame {
@@ -260,6 +265,20 @@ struct ReportBatchView {
   detail::PackedRange<detail::ReportBlockCodec> blocks;
 };
 
+/// A mirror's request to resend the seqs [from, to] of `origin`'s stream,
+/// sent to the stream's current primary. `primary_epoch` is the stream
+/// epoch the mirror has learned: the primary ignores a NACK for an epoch
+/// other than its own (a stale one names another authority's sequence
+/// space). A NACK asks for frames the mirror never received, so it never
+/// advances anything by itself; a lost NACK leaves the repair to the
+/// retransmit probe.
+struct NackFrame {
+  NodeId origin = kInvalidNode;
+  PrimaryEpoch primary_epoch = 0;
+  SeqNum from = kNoSeq;
+  SeqNum to = kNoSeq;  // inclusive; from <= to on the wire
+};
+
 /// Session announcement from a restarted peer, tailored per destination.
 /// Duplicate delivery is harmless: receivers ignore epochs they have
 /// already processed, so the sender re-announces (from the retransmit
@@ -279,7 +298,7 @@ struct ResumeFrame {
   bool reply = false;
   /// The sender's own-stream primary epoch (failover fencing, same rule as
   /// AckBatchFrame::primary_epoch): a fenced ex-primary's RESUME must not
-  /// rewind anyone's go-back-N cursor.
+  /// rewind anyone's send cursor.
   PrimaryEpoch primary_epoch = 0;
 };
 
@@ -311,6 +330,7 @@ ShardFrameView decode_shard_view(BytesView frame);
 Bytes encode(const DataFrame& frame);
 Bytes encode(const AckBatchFrame& frame);
 Bytes encode(const ResumeFrame& frame);
+Bytes encode(const NackFrame& frame);
 /// Throws std::invalid_argument on an empty batch (an empty batch is never
 /// a valid wire frame, so producing one is a programming error).
 Bytes encode(const DataBatchFrame& frame);
@@ -335,8 +355,9 @@ std::optional<FrameKind> peek_kind(BytesView frame);
 DataFrame decode_data(BytesView frame);
 /// Zero-copy decode: the returned payload aliases `frame`.
 DataView decode_data_view(BytesView frame);
-/// Zero-copy decode; throws CodecError on malformed input *and* on an
-/// empty batch (the encoder never produces one).
+/// Zero-copy decode; throws CodecError on malformed input, on an empty
+/// batch (the encoder never produces one) and on a batch whose last seq
+/// would overflow SeqNum.
 DataBatchFrame decode_data_batch(BytesView frame);
 /// In-place decodes (see the views above): the whole frame is validated
 /// here, so iterating the result never fails.
@@ -346,6 +367,8 @@ ReportBatchView decode_report_batch_view(BytesView frame);
 AckBatchFrame decode_ack_batch(BytesView frame);
 ReportBatchFrame decode_report_batch(BytesView frame);
 ResumeFrame decode_resume(BytesView frame);
+/// Also throws CodecError on a range with from > to.
+NackFrame decode_nack(BytesView frame);
 
 /// Fold every live thread's batched wire.* accumulator residue into the
 /// process-wide registry (obs::global()), making the codec volume counters

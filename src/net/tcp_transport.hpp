@@ -14,9 +14,9 @@
 // and flushed on reconnect. Redials are Env timers that back off
 // exponentially with jitter up to a cap, so a long partition costs neither
 // unbounded memory nor a SYN storm; anything dropped is recovered by the
-// data plane's go-back-N retransmission. A frame whose length is outside
-// [8, kMaxFrameBody] or whose src is not the id its connection's HELLO
-// announced closes that connection.
+// data plane's retransmission (NACKs and the retransmit probe). A frame
+// whose length is outside [8, kMaxFrameBody] or whose src is not the id its
+// connection's HELLO announced closes that connection.
 #pragma once
 
 #include <atomic>

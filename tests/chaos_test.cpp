@@ -11,6 +11,9 @@
 //     handlers alternate per (observer, peer) pair, recover counts are
 //     bounded by stall counts plus observed restarts, and handler counts
 //     equal the StabilizerStats episode counters;
+//   * reclamation safety — every 50 ms of virtual time and after the
+//     heal, no stream has reclaimed a seq a live destination has not
+//     delivered (tests/reclaim_check.hpp);
 //   * agreement between post-heal frontiers under kIndexed dispatch and the
 //     kLegacyScan baseline, and determinism of a whole campaign per seed.
 //
@@ -31,6 +34,7 @@
 #include "failover/failover.hpp"
 #include "net/sim_transport.hpp"
 #include "obs/obs.hpp"
+#include "reclaim_check.hpp"
 #include "shard/sharded_stabilizer.hpp"
 #include "sim/chaos.hpp"
 
@@ -85,6 +89,7 @@ struct ChaosCluster {
     snapshots.resize(n);
     nodes.resize(n);
     for (NodeId id = 0; id < n; ++id) boot(id, nullptr);
+    watch_reclamation(sim, nodes, reclaim_violation);
   }
 
   Stabilizer& node(NodeId id) { return *nodes.at(id); }
@@ -178,6 +183,8 @@ struct ChaosCluster {
   /// with every origin's stream end, and episode accounting.
   void check_converged() {
     const size_t n = topo_.num_nodes();
+    EXPECT_EQ(reclaim_violation, "") << "during the campaign";
+    EXPECT_EQ(reclamation_violation(nodes), "") << "after the heal";
     for (NodeId o = 0; o < n; ++o) {
       ASSERT_TRUE(nodes[o]) << "node " << o << " not live after heal";
       for (NodeId g = 0; g < n; ++g) {
@@ -291,6 +298,7 @@ struct ChaosCluster {
   std::vector<std::vector<bool>> open_stall;
   std::vector<std::vector<uint64_t>> lost_stalls;  // open at observer crash
   std::vector<int> restart_count;
+  std::string reclaim_violation;  // the first one seen, "" while none
   std::vector<Bytes> snapshots;
   std::vector<std::unique_ptr<Stabilizer>> nodes;  // last: destroyed first
 };
@@ -374,7 +382,7 @@ TEST(ChaosCampaign, ScriptedCrashPartitionLossCampaignConverges) {
     }
 
   // The campaign stressed what it claims to stress: the partition forced
-  // go-back-N re-sends, and node 2 received its peers' RESUME replies.
+  // re-sends, and node 2 received its peers' RESUME replies.
 #if STAB_OBS_ENABLED
   EXPECT_GT(c->node(0).stats().retransmits_sent, 0u);
   EXPECT_GT(c->node(2).stats().resumes_received, 0u);
@@ -511,7 +519,7 @@ TEST(ChaosCampaign, CoalescedCampaignHoldsInvariantsAcrossDispatchModes) {
   legacy->check_converged();
   EXPECT_EQ(indexed->core_digest(), legacy->core_digest());
 
-  // The crash-rejoin's go-back-N rewind pumps a run of consecutive slots
+  // The crash-rejoin's RESUME rewind pumps a run of consecutive slots
   // through one flush, so the campaign genuinely exercises batching.
 #if STAB_OBS_ENABLED
   uint64_t coalesced_frames = 0;
@@ -786,7 +794,7 @@ TEST(ChaosStats, LossCampaignSurfacesRetransmitPair) {
   c.start_traffic(millis(20), seconds(4));
   c.sim.run_until(seconds(30));
   c.check_converged();
-  // Sender re-sent lost frames; go-back-N overshoot surfaced at the
+  // Sender re-sent lost frames; the probe's overshoot surfaced at the
   // receiver as dropped stale duplicates.
   EXPECT_GT(c.node(0).stats().retransmits_sent, 0u);
   EXPECT_GT(c.node(1).stats().duplicates_dropped, 0u);

@@ -134,6 +134,37 @@ TEST_F(FrontierTest, MonitorReceivesExtraBytes) {
   EXPECT_EQ(got, "app-data");
 }
 
+// A monitor that adds monitors on its own key while it runs must not pull
+// its own storage out from under itself; the added ones fire from the next
+// advance on. The monitor's one capture is stored inside its std::function,
+// so when the monitors lived in a vector that reallocated mid-call, the
+// capture read after the additions was a heap-use-after-free under ASan.
+TEST_F(FrontierTest, MonitorAddingMonitorsOnItsOwnKeyIsSafe) {
+  ASSERT_TRUE(engine_.register_predicate("any", "MAX($ALLWNODES-$MYWNODE)"));
+  struct State {
+    FrontierEngine* engine;
+    std::vector<SeqNum> seen;
+    int added_fired = 0;
+  } st{&engine_, {}, 0};
+  ASSERT_TRUE(engine_.monitor("any", [&st](SeqNum f, BytesView) {
+    if (st.seen.empty())
+      for (int i = 0; i < 8; ++i)
+        EXPECT_TRUE(st.engine
+                        ->monitor("any",
+                                  [&st](SeqNum, BytesView) {
+                                    ++st.added_fired;
+                                  })
+                        .is_ok());
+    st.seen.push_back(f);
+  }));
+  engine_.on_ack(0, 1, 1);
+  EXPECT_EQ(st.seen, (std::vector<SeqNum>{1}));
+  EXPECT_EQ(st.added_fired, 0);
+  engine_.on_ack(0, 1, 2);
+  EXPECT_EQ(st.seen, (std::vector<SeqNum>{1, 2}));
+  EXPECT_EQ(st.added_fired, 8);
+}
+
 TEST_F(FrontierTest, WaitforFiresOnceAtCoverage) {
   ASSERT_TRUE(engine_.register_predicate("maj",
       "KTH_MAX(SIZEOF($ALLWNODES)/2+1,($ALLWNODES-$MYWNODE))"));

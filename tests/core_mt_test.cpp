@@ -233,7 +233,7 @@ TEST(CoreMt, WaitforBlockingCancelledWhileParked) {
   opts.topology = topo;
   opts.self = 0;
   opts.ack_interval = millis(1);
-  opts.retransmit_timeout = millis(20);  // node 1 boots late: needs go-back-N
+  opts.retransmit_timeout = millis(20);  // node 1 boots late: needs the probe
   Stabilizer node0(opts, cluster.transport(0));
   ASSERT_TRUE(node0.register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
   // No Stabilizer on node 1 yet: the wait can only end by cancellation.

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/stabilizer.hpp"
@@ -311,7 +313,7 @@ TEST(Core, LossyBothDirectionsStillConverges) {
 
 TEST(Core, EncodeOncePerBroadcastEvenUnderRetransmission) {
   // The data-plane fast path's core invariant: a 5-node broadcast encodes
-  // each message exactly once, not once per peer, and go-back-N retransmits
+  // each message exactly once, not once per peer, and retransmits
   // reuse the cached frame instead of re-encoding.
   Topology topo = tiny_topology(5, 5);
   StabilizerOptions base;
@@ -691,8 +693,9 @@ TEST(Core, OutOfRangeOriginIsRefused) {
 
 /// Frames a connected peer can send that must not decode: every core kind
 /// cut to its 3-byte {kind, 0, 0} prefix and to one byte short of a valid
-/// encoding, an ACKBATCH whose count claims 2^32-1 entries in 13 bytes, and
-/// well-formed ACKBATCH and REPORTBATCH frames naming type id 0xFFFFFFF0.
+/// encoding, an ACKBATCH whose count claims 2^32-1 entries in 13 bytes,
+/// well-formed ACKBATCH and REPORTBATCH frames naming type id 0xFFFFFFF0,
+/// and a NACK whose range runs backwards.
 std::vector<Bytes> malformed_frames() {
   data::DataFrame d;
   d.origin = 1;
@@ -711,9 +714,13 @@ std::vector<Bytes> malformed_frames() {
   r.blocks.push_back(data::ReportBlock{1, 0, {data::ReportEntry{0, 0, 3}}});
   data::ResumeFrame resume;
   resume.sender = 1;
+  data::NackFrame nack;
+  nack.origin = 0;
+  nack.from = 0;
+  nack.to = 0;
   std::vector<Bytes> out;
   for (Bytes f : {data::encode(d), data::encode(b), data::encode(a),
-                  data::encode(r), data::encode(resume)}) {
+                  data::encode(r), data::encode(resume), data::encode(nack)}) {
     out.push_back(Bytes{f[0], 0, 0});
     f.pop_back();
     out.push_back(std::move(f));
@@ -728,6 +735,8 @@ std::vector<Bytes> malformed_frames() {
   out.push_back(data::encode(a));
   r.blocks[0].entries[0].type = 0xFFFFFFF0;
   out.push_back(data::encode(r));
+  nack.from = 1;  // from > to
+  out.push_back(data::encode(nack));
   return out;
 }
 
@@ -764,6 +773,272 @@ TEST(Core, MalformedFramesAreDroppedAndCounted) {
   f.sim.run();
   EXPECT_EQ(s.get_stability_frontier("all"), 1);
 }
+
+// --- selective-repeat receive stream (DESIGN.md §4d) ----------------------------
+
+using Log = std::vector<std::string>;
+
+/// Node 1 receiving origin 0's stream from frames written by hand, so a test
+/// picks every frame's seq, epoch and sender. Each frame is delivered before
+/// the call returns. Node 1's NACKs go to node 0, whose own stream holds
+/// nothing, so no resend answers them: only the test fills holes. The
+/// retransmit probe is off.
+struct RxCase {
+  explicit RxCase(size_t window = 256, size_t nodes = 2)
+      : f(tiny_topology(nodes), options(window)) {
+    f.node(1).set_delivery_handler(
+        [this](NodeId origin, SeqNum, BytesView payload, uint64_t) {
+          if (origin == 0) log.push_back(to_string(payload));
+        });
+  }
+  static StabilizerOptions options(size_t window) {
+    StabilizerOptions o;
+    o.retransmit_window = window;
+    return o;
+  }
+  static std::string tag(SeqNum seq) { return "m" + std::to_string(seq); }
+  /// DATA seq of stream 0, sent by `from` under `epoch`.
+  void data(SeqNum seq, PrimaryEpoch epoch = 0, NodeId from = 0,
+            std::string payload = "") {
+    if (payload.empty()) payload = tag(seq);
+    f.cluster->transport(from).send(
+        1, data::encode_data(0, seq, to_bytes(payload), 0, epoch));
+    f.sim.run();
+  }
+  /// One DATABATCH of stream 0 carrying seqs [first, first + count).
+  void batch(SeqNum first, size_t count) {
+    std::vector<Bytes> payloads;
+    for (size_t i = 0; i < count; ++i)
+      payloads.push_back(to_bytes(tag(first + static_cast<SeqNum>(i))));
+    data::DataBatchFrame b;
+    b.origin = 0;
+    b.first_seq = first;
+    for (const Bytes& p : payloads) b.entries.push_back({BytesView(p), 0});
+    f.cluster->transport(0).send(1, data::encode(b));
+    f.sim.run();
+  }
+  SimFixture f;
+  Log log;
+};
+
+#if STAB_OBS_ENABLED
+uint64_t counter(Stabilizer& s, const char* name) {
+  return s.metrics().counter(name).value();
+}
+#endif
+
+TEST(InStream, HeldFramesDeliverInOrderWhenTheHoleFills) {
+  RxCase c;
+  c.data(0);
+  c.data(2);
+  c.data(3);
+  EXPECT_EQ(c.log, (Log{"m0"}));
+  EXPECT_EQ(c.f.node(1).delivered_through(0), 0);
+  c.data(1);
+  EXPECT_EQ(c.log, (Log{"m0", "m1", "m2", "m3"}));
+  EXPECT_EQ(c.f.node(1).delivered_through(0), 3);
+}
+
+TEST(InStream, DataBatchSpanningTheHoleFillsItAndIsHeldPastIt) {
+  RxCase c;
+  c.data(0);
+  c.data(3);
+  // Seqs 1 and 2 fill the hole, the held 3 follows, the batch's own 3 is a
+  // duplicate of it, and 4 is new.
+  c.batch(1, 4);
+  EXPECT_EQ(c.log, (Log{"m0", "m1", "m2", "m3", "m4"}));
+  // A batch wholly past a hole is held, entry by entry.
+  c.batch(6, 2);
+  EXPECT_EQ(c.log.size(), 5u);
+  c.data(5);
+  EXPECT_EQ(c.log, (Log{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}));
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(counter(c.f.node(1), "data.duplicates_dropped"), 1u);
+#endif
+}
+
+TEST(InStream, NothingIsHeldPastRetransmitWindow) {
+  RxCase c(/*window=*/4);
+  c.data(0);
+  // Within 4 of the prefix (seq 0): 2, 3 and 4 are held; 5..7 are dropped.
+  for (SeqNum s = 2; s <= 7; ++s) c.data(s);
+  c.data(1);
+  EXPECT_EQ(c.log, (Log{"m0", "m1", "m2", "m3", "m4"}));
+  EXPECT_EQ(c.f.node(1).delivered_through(0), 4);
+  for (SeqNum s = 5; s <= 7; ++s) c.data(s);
+  EXPECT_EQ(c.f.node(1).delivered_through(0), 7);
+}
+
+TEST(InStream, DuplicateOfAHeldFrameIsDroppedAndCounted) {
+  RxCase c;
+  c.data(0);
+  c.data(2);
+  c.data(2);
+  c.data(1);
+  EXPECT_EQ(c.log, (Log{"m0", "m1", "m2"}));
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(counter(c.f.node(1), "data.duplicates_dropped"), 1u);
+  EXPECT_EQ(counter(c.f.node(1), "data.gaps_detected"), 1u);
+#endif
+}
+
+// Held frames came from the old authority: a takeover discards them, so the
+// new primary's messages with the same seqs are the ones delivered. Here
+// the takeover also moves the cursor, forward or back.
+TEST(InStream, TakeoverCursorDiscardsHeldFrames) {
+  {
+    // Fast-forward: the new primary (node 2) starts at 2, past the hole at 1.
+    RxCase c(256, 3);
+    EXPECT_FALSE(c.f.node(1).observe_takeover(0, 2, 1, -2).is_ok());
+    c.data(0);
+    c.data(3, 0, 0, "old3");
+    c.data(4, 0, 0, "old4");
+    ASSERT_TRUE(c.f.node(1).observe_takeover(0, 2, 1, 2).is_ok());
+    EXPECT_EQ(c.f.node(1).delivered_through(0), 1);
+    for (SeqNum s = 2; s <= 4; ++s) c.data(s, 1, 2, "new" + std::to_string(s));
+    EXPECT_EQ(c.log, (Log{"m0", "new2", "new3", "new4"}));
+  }
+  {
+    // Rollback: the new primary restarts the stream at 1, below what node 1
+    // delivered, and node 1 re-delivers from 1 under the new authority.
+    RxCase c(256, 3);
+    for (SeqNum s = 0; s <= 2; ++s) c.data(s);
+    c.data(4, 0, 0, "old4");
+    ASSERT_TRUE(c.f.node(1).observe_takeover(0, 2, 1, 1).is_ok());
+    EXPECT_EQ(c.f.node(1).delivered_through(0), 0);
+    for (SeqNum s = 1; s <= 4; ++s) c.data(s, 1, 2, "new" + std::to_string(s));
+    EXPECT_EQ(c.log,
+              (Log{"m0", "m1", "m2", "new1", "new2", "new3", "new4"}));
+  }
+}
+
+// Every learn of a new epoch discards held frames and the NACKed range,
+// whether or not the takeover moves the cursor: the first learn may carry
+// no start seq, a start seq right after the prefix moves nothing, and a
+// re-announcement never rolls the cursor back.
+TEST(InStream, NewEpochDiscardsHeldFramesWhateverTheCursorDoes) {
+  const SeqNum starts[][2] = {
+      {1, 1}, {kNoSeq, 1}, {kNoSeq, kNoSeq}, {kNoSeq, 0}};
+  for (const auto& start : starts) {
+    SCOPED_TRACE(std::to_string(start[0]) + "," + std::to_string(start[1]));
+    RxCase c(256, 3);
+    c.data(0);
+    c.data(2, 0, 0, "old2");  // held; NACKs 1 to node 0
+    ASSERT_TRUE(c.f.node(1).observe_takeover(0, 2, 1, start[0]).is_ok());
+    ASSERT_TRUE(c.f.node(1).observe_takeover(0, 2, 1, start[1]).is_ok());
+    EXPECT_EQ(c.f.node(1).delivered_through(0), 0);
+    // The new primary's 2 is no duplicate of the old one, and the hole it
+    // leaves is NACKed afresh, to node 2.
+    c.data(2, 1, 2, "new2");
+    c.data(1, 1, 2, "new1");
+    EXPECT_EQ(c.log, (Log{"m0", "new1", "new2"}));
+#if STAB_OBS_ENABLED
+    EXPECT_EQ(counter(c.f.node(1), "data.duplicates_dropped"), 0u);
+    EXPECT_EQ(counter(c.f.node(1), "data.nacks_sent"), 2u);
+#endif
+  }
+}
+
+TEST(InStream, SnapshotRestoreDiscardsHeldFrames) {
+  RxCase c;
+  c.data(0);
+  const Bytes snapshot = c.f.node(1).snapshot_control_state();
+  c.data(2);
+  ASSERT_TRUE(c.f.node(1).restore_control_state(snapshot).is_ok());
+  c.data(1);
+  EXPECT_EQ(c.log, (Log{"m0", "m1"}));  // the held 2 went with the restore
+  c.data(2);
+  EXPECT_EQ(c.log, (Log{"m0", "m1", "m2"}));
+}
+
+// The NACK alone repairs each hole, with the retransmit probe off: one NACK
+// per hole, and the primary resends exactly the missing range.
+TEST(InStream, OneNackPerNewHoleAndTheResendFillsIt) {
+  SimFixture f(tiny_topology(3));
+  std::vector<SeqNum> log;
+  f.node(1).set_delivery_handler(
+      [&](NodeId, SeqNum seq, BytesView, uint64_t) { log.push_back(seq); });
+  auto send = [&](int count, bool lost) {
+    f.cluster->network().set_drop_probability(0, 1, lost ? 1.0 : 0.0);
+    for (int i = 0; i < count; ++i) f.node(0).send(to_bytes("m"));
+  };
+  send(1, true);  // hole at 0
+  send(2, false);
+  send(2, true);  // hole at 3..4
+  send(2, false);
+  f.sim.run();
+  EXPECT_EQ(log, (std::vector<SeqNum>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(f.node(2).delivered_through(0), 6);
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(counter(f.node(1), "data.nacks_sent"), 2u);
+  EXPECT_EQ(counter(f.node(2), "data.nacks_sent"), 0u);
+  EXPECT_EQ(counter(f.node(0), "data.retransmits_sent"), 3u);
+  EXPECT_EQ(counter(f.node(0), "data.nacks_dropped"), 0u);
+#endif
+}
+
+TEST(InStream, LosslessRunSendsNoNack) {
+  StabilizerOptions base;
+  base.coalesce_max_frames = 16;
+  base.retransmit_timeout = millis(50);
+  SimFixture f(tiny_topology(3), base);
+  for (int i = 0; i < 50; ++i)
+    for (NodeId n = 0; n < 3; ++n) f.node(n).send(to_bytes("m"));
+  f.sim.run_until(seconds(2));
+  for (NodeId n = 0; n < 3; ++n)
+    for (NodeId o = 0; o < 3; ++o) {
+      if (o != n) {
+        EXPECT_EQ(f.node(n).delivered_through(o), 49);
+      }
+    }
+#if STAB_OBS_ENABLED
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(counter(f.node(n), "data.nacks_sent"), 0u) << "node " << n;
+    EXPECT_EQ(counter(f.node(n), "data.gaps_detected"), 0u) << "node " << n;
+    EXPECT_EQ(counter(f.node(n), "data.retransmits_sent"), 0u)
+        << "node " << n;
+  }
+#endif
+}
+
+#if STAB_OBS_ENABLED
+// A NACK resends only from a stream this node sequences, under its current
+// epoch, to one of its destinations, and never more than the buffer, what
+// the peer was sent and retransmit_window allow.
+TEST(InStream, NackHandlerRefusesAndClampsHostileRanges) {
+  StabilizerOptions base;
+  base.retransmit_window = 4;
+  SimFixture f(tiny_topology(3), base);
+  // Node 2 never receives stream 0, so node 0 keeps all ten messages.
+  f.cluster->network().set_drop_probability(0, 2, 1.0);
+  for (int i = 0; i < 10; ++i) f.node(0).send(to_bytes("m"));
+  f.sim.run();
+  auto nack = [&](NodeId from, NodeId origin, PrimaryEpoch epoch, SeqNum lo,
+                  SeqNum hi) {
+    f.cluster->transport(from).send(
+        0, data::encode(data::NackFrame{origin, epoch, lo, hi}));
+    f.sim.run();
+  };
+  auto dropped = [&] { return counter(f.node(0), "data.nacks_dropped"); };
+  auto resent = [&] { return counter(f.node(0), "data.retransmits_sent"); };
+  nack(1, 2, 0, 0, 0);  // a stream node 0 does not sequence
+  nack(1, 7, 0, 0, 0);  // no such stream
+  nack(1, 0, 1, 0, 0);  // another epoch of stream 0
+  EXPECT_EQ(dropped(), 3u);
+  EXPECT_EQ(resent(), 0u);
+  constexpr SeqNum kMax = std::numeric_limits<SeqNum>::max();
+  nack(1, 0, 0, kMax - 1, kMax);  // past the buffer: nothing to resend
+  EXPECT_EQ(resent(), 0u);
+  nack(1, 0, 0, std::numeric_limits<SeqNum>::min(), kMax);
+  EXPECT_EQ(resent(), 4u);  // the buffer's first retransmit_window
+  EXPECT_EQ(dropped(), 3u);
+  f.node(0).set_peer_excluded(2, true);
+  nack(2, 0, 0, 0, 3);  // an excluded peer is no destination
+  EXPECT_EQ(dropped(), 4u);
+  EXPECT_EQ(resent(), 4u);
+  EXPECT_EQ(f.node(1).delivered_through(0), 9);
+}
+#endif
 
 // --- real-time (in-process) ----------------------------------------------------
 
@@ -940,7 +1215,7 @@ TEST(CoreRealtime, TimedOutWaitDuringPartitionNeverCompletesLater) {
   SeqNum seq = node0.send(to_bytes("x"));
   EXPECT_FALSE(node0.waitfor_blocking(seq, "all", millis(100)));
 
-  // The partition heals: node 1 appears, go-back-N delivers the message,
+  // The partition heals: node 1 appears, the probe delivers the message,
   // the frontier advances past seq. The timed-out call's internal waiter
   // now fires against its own kept-alive state — it must neither crash nor
   // complete anything a second time, and fresh waits keep working.
@@ -989,7 +1264,7 @@ TEST(CoreRealtime, BlockingWaitStatusDistinguishesOutcomes) {
   opts.topology = topo;
   opts.self = 0;
   opts.ack_interval = millis(1);
-  opts.retransmit_timeout = millis(20);  // heal leg: go-back-N redelivers
+  opts.retransmit_timeout = millis(20);  // heal leg: the probe redelivers
   Stabilizer node0(opts, cluster.transport(0));
   ASSERT_TRUE(node0.register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
 

@@ -1,14 +1,14 @@
 // Unit tests for the data plane primitives: wire codec, sequencer,
-// out-buffer, receive tracker.
+// out-buffer. The receive rule lives in core's InStream (core_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "common/rng.hpp"
 #include "data/out_buffer.hpp"
-#include "data/receive_tracker.hpp"
 #include "data/wire.hpp"
 
 namespace stab::data {
@@ -132,7 +132,26 @@ TEST(Wire, PeekTreatsApplicationRangeAsUnknown) {
   EXPECT_TRUE(peek_kind(Bytes{0x01}).has_value());
   EXPECT_TRUE(peek_kind(Bytes{0x04}).has_value());
   EXPECT_EQ(peek_kind(Bytes{0x05}), FrameKind::kReportBatch);
-  EXPECT_FALSE(peek_kind(Bytes{0x06}).has_value());  // unassigned gap
+  EXPECT_EQ(peek_kind(Bytes{0x06}), FrameKind::kNack);
+  EXPECT_FALSE(peek_kind(Bytes{0x07}).has_value());  // unassigned gap
+}
+
+TEST(Wire, NackRoundTrip) {
+  NackFrame in;
+  in.origin = 3;
+  in.primary_epoch = 2;
+  in.from = 40;
+  in.to = 41;
+  const Bytes enc = encode(in);
+  EXPECT_EQ(enc.size(), 25u);
+  EXPECT_EQ(peek_kind(enc), FrameKind::kNack);
+  NackFrame out = decode_nack(enc);
+  EXPECT_EQ(out.origin, 3u);
+  EXPECT_EQ(out.primary_epoch, 2u);
+  EXPECT_EQ(out.from, 40);
+  EXPECT_EQ(out.to, 41);
+  in.from = in.to = std::numeric_limits<SeqNum>::max();  // a one-seq range
+  EXPECT_EQ(decode_nack(encode(in)).from, in.to);
 }
 
 TEST(Wire, ReportBatchRoundTrip) {
@@ -299,6 +318,30 @@ TEST(Wire, LyingCountsAndTypeIdsThrowCodecError) {
   r.forwarder = 1;
   r.blocks.push_back(ReportBlock{1, 0, {ReportEntry{0, 0xFFFFFFF0, 3}}});
   EXPECT_THROW(decode_report_batch(encode(r)), CodecError);
+
+  // A NACK range that runs backwards, and a truncated NACK.
+  NackFrame nack;
+  nack.origin = 1;
+  nack.from = 5;
+  nack.to = 4;
+  EXPECT_THROW(decode_nack(encode(nack)), CodecError);
+  nack.from = std::numeric_limits<SeqNum>::max();
+  nack.to = std::numeric_limits<SeqNum>::min();
+  EXPECT_THROW(decode_nack(encode(nack)), CodecError);
+  nack.to = nack.from;
+  Bytes cut = encode(nack);
+  cut.pop_back();
+  EXPECT_THROW(decode_nack(cut), CodecError);
+
+  // A DATABATCH whose last seq would overflow SeqNum.
+  DataBatchFrame high;
+  high.origin = 1;
+  high.first_seq = std::numeric_limits<SeqNum>::max();
+  const Bytes x = to_bytes("x");
+  high.entries.push_back({x, 0});
+  EXPECT_NO_THROW(decode_data_batch(encode(high)));
+  high.entries.push_back({x, 0});
+  EXPECT_THROW(decode_data_batch(encode(high)), CodecError);
 }
 
 // The in-place views read the records the owning decoders copy, and an
@@ -484,24 +527,6 @@ TEST(OutBuffer, GetOutOfRange) {
   OutBuffer b;
   EXPECT_EQ(b.get(0), nullptr);
   EXPECT_EQ(b.get(-1), nullptr);
-}
-
-TEST(ReceiveTracker, AcceptsInOrder) {
-  ReceiveTracker t(2);
-  EXPECT_EQ(t.received_through(0), kNoSeq);
-  EXPECT_EQ(t.on_frame(0, 0), ReceiveTracker::Verdict::kAccept);
-  EXPECT_EQ(t.on_frame(0, 1), ReceiveTracker::Verdict::kAccept);
-  EXPECT_EQ(t.received_through(0), 1);
-  EXPECT_EQ(t.received_through(1), kNoSeq);  // independent per origin
-}
-
-TEST(ReceiveTracker, ClassifiesDupAndGap) {
-  ReceiveTracker t(1);
-  t.on_frame(0, 0);
-  EXPECT_EQ(t.on_frame(0, 0), ReceiveTracker::Verdict::kStaleDuplicate);
-  EXPECT_EQ(t.on_frame(0, 5), ReceiveTracker::Verdict::kGap);
-  EXPECT_EQ(t.received_through(0), 0);  // gap did not advance
-  EXPECT_EQ(t.on_frame(0, 1), ReceiveTracker::Verdict::kAccept);
 }
 
 }  // namespace
