@@ -74,7 +74,7 @@ void ack_interval_sweep() {
   std::printf("\n--- E-AB3: ack batching interval (monotonic coalescing) "
               "---\n\n");
   std::printf("%14s %22s %18s\n", "interval", "mean stability (ms)",
-              "ack batches sent");
+              "report frames sent");
   for (int64_t us : {0LL, 100LL, 1000LL, 2000LL, 10000LL, 50000LL}) {
     Topology topo = ec2_topology();
     StabilizerOptions base;
@@ -98,7 +98,10 @@ void ack_interval_sweep() {
     }
     cluster.sim.run();
     uint64_t batches = 0;
-    for (auto& node : cluster.nodes) batches += node->stats().ack_batches_sent;
+    for (auto& node : cluster.nodes) {
+      const StabilizerStats s = node->stats();
+      batches += s.ack_batches_sent + s.report_batches_sent;
+    }
     std::printf("%11lld us %22.2f %18llu\n", static_cast<long long>(us),
                 stability_ms.mean(), static_cast<unsigned long long>(batches));
   }

@@ -3,15 +3,17 @@
 // One origin drives a 64-node simulated fleet (8 AZs x 8 nodes, 1 ms intra /
 // 10 ms inter one-way) under the MIN($ALLWNODES) predicate, so every frontier
 // advance needs a report from every node. The workload is FIXED — the only
-// variable is how mirror reports propagate:
+// variables are the report plane's flush period and whether reports are
+// aggregated:
 //
-//   immediate      every local advance flushes an ACKBATCH on the 2 ms ack
-//                  heartbeat, broadcast to all peers (the paper's baseline);
-//   deferred       mirrors accumulate cumulative vectors and broadcast one
-//                  merged REPORTBATCH per 50 ms flush interval;
-//   deferred+agg   mirrors flush to their AZ aggregator only; the aggregator
-//                  min/max-merges the AZ's vectors and broadcasts one merged
-//                  frame per flush over the long-haul links.
+//   immediate      every node broadcasts its reports on the default 2 ms
+//                  ack_interval (the paper's baseline);
+//   deferred       the same plane at ack_interval = 50 ms: each flush
+//                  carries the node's coalesced cumulative reports;
+//   deferred+agg   50 ms with aggregate_reports: mirrors flush to their AZ
+//                  aggregator only; the aggregator max-merges the AZ's
+//                  reports and broadcasts one merged frame per flush over the
+//                  long-haul links.
 //
 // Measured per mode: total control-plane bytes and frames (ACKBATCH +
 // REPORTBATCH, summed over the fleet) and the per-message frontier lag
@@ -37,8 +39,6 @@
 namespace stab::bench {
 namespace {
 
-using ReportPath = StabilizerOptions::ReportPath;
-
 constexpr double kIntraMs = 1.0;
 constexpr double kInterMs = 10.0;
 constexpr double kFlushMs = 50.0;
@@ -55,15 +55,14 @@ struct ModeResult {
   double converge_ms = 0;  // virtual time until every frontier caught up
 };
 
-ModeResult run_mode(const char* name, ReportPath path, size_t num_azs,
-                    size_t nodes_per_az, size_t msgs) {
+ModeResult run_mode(const char* name, double flush_ms, bool aggregate,
+                    size_t num_azs, size_t nodes_per_az, size_t msgs) {
   Topology topo =
       fleet_topology(num_azs, nodes_per_az, kIntraMs, kInterMs, /*bw=*/0);
   StabilizerOptions base;
-  base.ack_interval = millis(2);
+  base.ack_interval = millis(static_cast<int64_t>(flush_ms));
   base.broadcast_acks = true;
-  base.report_path = path;
-  base.deferred_flush_interval = millis(static_cast<int64_t>(kFlushMs));
+  base.aggregate_reports = aggregate;
   StabCluster c(topo, base);
 
   const size_t n = topo.num_nodes();
@@ -170,11 +169,9 @@ int run(bool smoke) {
       "p99 ms", "conv ms");
 
   ModeResult rows[3] = {
-      run_mode("immediate", ReportPath::kImmediate, num_azs, nodes_per_az,
-               msgs),
-      run_mode("deferred", ReportPath::kDeferred, num_azs, nodes_per_az, msgs),
-      run_mode("deferred+agg", ReportPath::kDeferredAggregated, num_azs,
-               nodes_per_az, msgs),
+      run_mode("immediate", 2, false, num_azs, nodes_per_az, msgs),
+      run_mode("deferred", kFlushMs, false, num_azs, nodes_per_az, msgs),
+      run_mode("deferred+agg", kFlushMs, true, num_azs, nodes_per_az, msgs),
   };
 
   std::FILE* json = std::fopen("BENCH_stability_propagation.json", "w");

@@ -69,10 +69,11 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
   }
 
-  std::printf("\nmessages sent: %llu, ack batches: %llu\n",
-              static_cast<unsigned long long>(nodes[0]->stats().messages_sent),
-              static_cast<unsigned long long>(
-                  nodes[0]->stats().ack_batches_sent));
+  const StabilizerStats stats = nodes[0]->stats();
+  std::printf("\nmessages sent: %llu, report frames: %llu\n",
+              static_cast<unsigned long long>(stats.messages_sent),
+              static_cast<unsigned long long>(stats.ack_batches_sent +
+                                              stats.report_batches_sent));
   nodes.clear();
   for (auto& t : transports) t->shutdown();
   return 0;

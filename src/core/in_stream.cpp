@@ -129,13 +129,13 @@ void InStream::deliver(NodeId src, SeqNum seq, BytesView payload,
         AckUpdate{StabilityTypeRegistry::kReceived, self, seq, {}});
     engine.on_ack_batch(updates);
   }
-  n.mark_dirty(origin_, StabilityTypeRegistry::kReceived, seq, {});
+  n.reports_.note(origin_, StabilityTypeRegistry::kReceived, seq);
 
   if (n.delivery_) n.delivery_(origin_, seq, payload, wire_size);
 
   if (n.options_.auto_report_delivered) {
     engine.on_ack(StabilityTypeRegistry::kDelivered, self, seq);
-    n.mark_dirty(origin_, StabilityTypeRegistry::kDelivered, seq, {});
+    n.reports_.note(origin_, StabilityTypeRegistry::kDelivered, seq);
   }
 }
 

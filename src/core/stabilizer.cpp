@@ -30,7 +30,6 @@ Stabilizer::Counters::Counters(obs::MetricsRegistry& r)
       report_bytes_sent(r.counter("control.report_bytes_sent")),
       report_entries_applied(r.counter("control.report_entries_applied")),
       deferred_flushes(r.counter("control.deferred_flushes")),
-      deferred_delta_flushes(r.counter("control.deferred_delta_flushes")),
       agg_blocks_absorbed(r.counter("control.agg_blocks_absorbed")),
       agg_fallback_direct(r.counter("control.agg_fallback_direct")),
       report_blocks_fenced(r.counter("control.report_blocks_fenced")),
@@ -73,15 +72,21 @@ void Stabilizer::Counters::flush_pending() {
 }
 #endif
 
-Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
-    : options_(std::move(options)),
-      transport_(transport),
-      excluded_(options_.topology.num_nodes(), false),
-      dirty_(options_.topology.num_nodes()),
-      reported_(options_.topology.num_nodes()) {
-  const size_t n = options_.topology.num_nodes();
-  if (options_.self >= n)
+namespace {
+// Checked before any member is built: the streams and the report plane
+// index by self.
+StabilizerOptions checked(StabilizerOptions options) {
+  if (options.self >= options.topology.num_nodes())
     throw std::invalid_argument("Stabilizer: self node out of range");
+  return options;
+}
+}  // namespace
+
+Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
+    : options_(checked(std::move(options))),
+      transport_(transport),
+      excluded_(options_.topology.num_nodes(), false) {
+  const size_t n = options_.topology.num_nodes();
   engines_.reserve(n);
   in_.reserve(n);
   for (NodeId origin = 0; origin < n; ++origin) {
@@ -129,21 +134,6 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
   stream_epoch_.assign(n, 0);
   stream_primary_.resize(n);
   for (NodeId o = 0; o < n; ++o) stream_primary_[o] = o;
-  if (deferred_mode()) {
-    deferred_ = std::make_unique<control::DeferredReporter>(n);
-    same_az_.assign(n, false);
-    const std::string& az = options_.topology.az_of(options_.self);
-    for (NodeId m : options_.topology.nodes_in_az(az)) same_az_[m] = true;
-    if (options_.report_path ==
-        StabilizerOptions::ReportPath::kDeferredAggregated) {
-      // Aggregator roles come from the topology; an AZ with no designated
-      // aggregator simply runs kDeferred semantics (direct fan-out).
-      if (auto agg = options_.topology.az_aggregator(az)) {
-        my_aggregator_ = *agg;
-        agg_self_ = (*agg == options_.self);
-      }
-    }
-  }
   if (options_.retransmit_timeout > Duration::zero())
     schedule_retransmit_timer();
   if (options_.peer_stall_timeout > Duration::zero()) schedule_stall_timer();
@@ -171,8 +161,7 @@ Stabilizer::~Stabilizer() {
   }
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   stopped_ = true;
-  if (ack_timer_ != kInvalidTimer) env().cancel(ack_timer_);
-  if (deferred_timer_ != kInvalidTimer) env().cancel(deferred_timer_);
+  reports_.stop();
   if (retransmit_timer_ != kInvalidTimer) env().cancel(retransmit_timer_);
   if (stall_timer_ != kInvalidTimer) env().cancel(stall_timer_);
   if (flush_timer_ != kInvalidTimer) env().cancel(flush_timer_);
@@ -427,7 +416,7 @@ void Stabilizer::drain_pipeline() {
       if (updates.empty()) continue;
       cells += updates.size();
       engines_[origin]->on_ack_batch(updates);
-      for (const AckUpdate& u : updates) mark_dirty(origin, u.type, u.seq, {});
+      for (const AckUpdate& u : updates) reports_.note(origin, u.type, u.seq);
     }
     pipeline_->record_drain(cells);
     // Re-check: producers kept offering while we applied, and a re-entrant
@@ -472,14 +461,12 @@ void Stabilizer::handle_report_batch(NodeId src,
   // may innocently relay the vector of a member that was deposed after
   // flushing, and those receipts must stop influencing reclamation / flow
   // control exactly like a zombie's own ACKBATCH would.
-  const bool absorbing = deferred_ && agg_self_ && src != options_.self &&
-                         src < same_az_.size() && same_az_[src];
+  const bool absorbing = reports_.absorbs_from(src);
   auto lease = per_origin_scratch_.acquire();
   std::vector<std::vector<AckUpdate>>& per_origin = *lease;
   per_origin.resize(engines_.size());
   for (auto& group : per_origin) group.clear();
   uint64_t applied = 0;
-  bool absorbed_any = false;
   for (const data::ReportBlockView& b : frame.blocks) {
     // Our own vector echoed back (an aggregator broadcasts merged state to
     // everyone, including the mirrors it came from) carries nothing new.
@@ -495,21 +482,17 @@ void Stabilizer::handle_report_batch(NodeId src,
       ++applied;
     }
     // Aggregator merge: blocks arriving from our own AZ's members fold into
-    // the accumulator for the next long-haul flush. Blocks from outside the
-    // AZ (another aggregator's forward, or a fallback mirror) are consumed
+    // their rows for the next long-haul flush. Blocks from outside the AZ
+    // (another aggregator's forward, or a fallback mirror) are consumed
     // locally but never re-forwarded — one merge level, no loops.
-    if (absorbing) {
-      deferred_->absorb(b);
-      absorbed_any = true;
+    if (absorbing && reports_.absorb(b))
       STAB_OBS(ctr_.agg_blocks_absorbed.inc());
-    }
   }
   STAB_OBS(if (applied) ctr_.report_entries_applied.inc(applied));
   (void)applied;
   for (NodeId origin = 0; origin < per_origin.size(); ++origin)
     if (!per_origin[origin].empty())
       engines_[origin]->on_ack_batch(per_origin[origin]);
-  if (absorbed_any) schedule_deferred_timer();
   if (options_.send_window > 0) pump_all();  // reports free window space
   maybe_reclaim();
 }
@@ -552,10 +535,7 @@ void Stabilizer::handle_resume(NodeId src, const data::ResumeFrame& frame) {
 
     // Re-issue every cumulative stability report so the peer rebuilds its
     // ack tables immediately instead of waiting for the heartbeat.
-    for (NodeId about = 0; about < reported_.size(); ++about)
-      for (StabilityTypeId t = 0; t < reported_[about].size(); ++t)
-        if (reported_[about][t] != kNoSeq)
-          mark_dirty(about, t, reported_[about][t], {});
+    reports_.renote_issued();
 
     mark_peer_recovered(src);
   }
@@ -580,262 +560,6 @@ void Stabilizer::maybe_reclaim() {
   own_.reclaim();
 }
 
-// --- control-plane output ---------------------------------------------------------
-
-void Stabilizer::mark_dirty(NodeId about, StabilityTypeId type, SeqNum seq,
-                            Bytes extra) {
-  auto& reported = reported_[about];
-  if (reported.size() <= type) reported.resize(type + 1, kNoSeq);
-  reported[type] = std::max(reported[type], seq);
-  // Deferred propagation: plain reports park in the accumulator and ride a
-  // REPORTBATCH flush. Reports with extra bytes stay on the immediate
-  // ACKBATCH path in every mode — extras are per-report payloads that a
-  // max-merge would drop. reported_ was updated above either way, so the
-  // heartbeat re-issue and RESUME re-announce cover deferred reports too.
-  if (deferred_ && extra.empty()) {
-    note_deferred(about, type, seq);
-    return;
-  }
-  auto& per_type = dirty_[about];
-  if (per_type.size() <= type) per_type.resize(type + 1);
-  DirtyAck& d = per_type[type];
-  if (seq <= d.seq) return;  // monotonic coalescing
-  d.seq = seq;
-  d.extra = std::move(extra);
-  any_dirty_ = true;
-  schedule_ack_timer();
-}
-
-void Stabilizer::schedule_ack_timer() {
-  if (ack_timer_armed_ || stopped_) return;
-  if (options_.ack_interval <= Duration::zero()) {
-    flush_acks();
-    return;
-  }
-  ack_timer_armed_ = true;
-  ack_timer_ = env().schedule_after(options_.ack_interval, [this] {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    ack_timer_armed_ = false;
-    ack_timer_ = kInvalidTimer;
-    if (!stopped_) flush_acks();
-  });
-}
-
-void Stabilizer::flush_acks() {
-  if (!any_dirty_) return;
-  any_dirty_ = false;
-
-  if (options_.broadcast_acks) {
-    data::AckBatchFrame batch;
-    batch.reporter = options_.self;
-    batch.primary_epoch = stream_epoch_[options_.self];
-    for (NodeId about = 0; about < dirty_.size(); ++about) {
-      for (StabilityTypeId t = 0; t < dirty_[about].size(); ++t) {
-        DirtyAck& d = dirty_[about][t];
-        if (d.seq == kNoSeq) continue;
-        batch.entries.push_back(
-            data::AckEntry{about, t, d.seq, std::move(d.extra)});
-        d = DirtyAck{};
-      }
-    }
-    if (batch.entries.empty()) return;
-    STAB_OBS(ctr_.ack_flush_entries.record(batch.entries.size()));
-#if STAB_OBS_ENABLED
-    if (STAB_TRACE_WANTS(tracer_, obs::SpanEvent::kAckReport)) {
-      TimePoint now = env().now();
-      for (const data::AckEntry& e : batch.entries)
-        tracer_->record(now, obs::SpanEvent::kAckReport, options_.self,
-                        e.about_origin, e.seq, kInvalidNode,
-                        types_.name(e.type));
-    }
-#endif
-    // One encode, fanned out refcounted — the ack broadcast rides the same
-    // zero-copy path as the data plane.
-    auto encoded = std::make_shared<const Bytes>(data::encode(batch));
-    for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-      if (peer == options_.self || excluded_[peer]) continue;
-      transport_.send_shared(peer, encoded);
-      STAB_OBS({
-        ++ctr_.pending_shared_sends;
-        ctr_.ack_batches_sent.inc();
-        ctr_.ack_bytes_sent.inc(encoded->size());
-      });
-    }
-  } else {
-    // Origin-scoped: each stream's authority (its origin, or its acting
-    // primary after a failover) gets only the reports about that stream.
-    for (NodeId about = 0; about < dirty_.size(); ++about) {
-      data::AckBatchFrame batch;
-      batch.reporter = options_.self;
-      batch.primary_epoch = stream_epoch_[options_.self];
-      for (StabilityTypeId t = 0; t < dirty_[about].size(); ++t) {
-        DirtyAck& d = dirty_[about][t];
-        if (d.seq == kNoSeq) continue;
-        batch.entries.push_back(
-            data::AckEntry{about, t, d.seq, std::move(d.extra)});
-        d = DirtyAck{};
-      }
-      if (batch.entries.empty()) continue;
-      const NodeId to = stream_primary_[about];
-      if (about == options_.self || to == options_.self || excluded_[to])
-        continue;
-      STAB_OBS(ctr_.ack_flush_entries.record(batch.entries.size()));
-#if STAB_OBS_ENABLED
-      if (STAB_TRACE_WANTS(tracer_, obs::SpanEvent::kAckReport)) {
-        TimePoint now = env().now();
-        for (const data::AckEntry& e : batch.entries)
-          tracer_->record(now, obs::SpanEvent::kAckReport, options_.self,
-                          e.about_origin, e.seq, kInvalidNode,
-                          types_.name(e.type));
-      }
-#endif
-      Bytes enc = data::encode(batch);
-      STAB_OBS({
-        ctr_.ack_batches_sent.inc();
-        ctr_.ack_bytes_sent.inc(enc.size());
-      });
-      transport_.send(to, std::move(enc));
-    }
-  }
-  // The periodic control flush doubles as the fold point for the batched
-  // data-plane deltas, so receive-side counters stay at most one
-  // ack_interval stale (stats()/metrics() fold on read anyway).
-  STAB_OBS(ctr_.flush_pending());
-}
-
-// --- deferred propagation (DESIGN.md §10) ----------------------------------------
-
-void Stabilizer::note_deferred(NodeId about, StabilityTypeId type,
-                               SeqNum seq) {
-  deferred_->note(options_.self, stream_epoch_[options_.self], about, type,
-                  seq);
-  if (options_.deferred_delta_threshold > 0 &&
-      deferred_->pending_delta() >= options_.deferred_delta_threshold) {
-    // Burst: enough has accumulated that waiting out the timer only adds
-    // lag without saving frames. Flush now; the armed timer (if any) finds
-    // an empty accumulator and no-ops.
-    STAB_OBS(ctr_.deferred_delta_flushes.inc());
-    flush_deferred();
-    return;
-  }
-  schedule_deferred_timer();
-}
-
-void Stabilizer::schedule_deferred_timer() {
-  if (deferred_timer_armed_ || stopped_) return;
-  if (options_.deferred_flush_interval <= Duration::zero()) {
-    flush_deferred();
-    return;
-  }
-  deferred_timer_armed_ = true;
-  deferred_timer_ =
-      env().schedule_after(options_.deferred_flush_interval, [this] {
-        std::lock_guard<std::recursive_mutex> lock(mutex_);
-        deferred_timer_armed_ = false;
-        deferred_timer_ = kInvalidTimer;
-        if (!stopped_) flush_deferred();
-      });
-}
-
-NodeId Stabilizer::usable_aggregator() const {
-  const NodeId g = my_aggregator_;
-  if (g == kInvalidNode || g == options_.self) return kInvalidNode;
-  // A dead or deposed aggregator must not become a control-plane black
-  // hole: excluded (crash reaction), stalled (no ack progress), or fenced
-  // (lost its own stream — everything it forwards would be dropped as
-  // zombie output) all mean "bypass and fan out directly". The stall /
-  // RESUME machinery flips these back when the aggregator heals.
-  if (excluded_[g] || stalled_[g]) return kInvalidNode;
-  if (stream_primary_[g] != g) return kInvalidNode;
-  return g;
-}
-
-void Stabilizer::flush_deferred() {
-  if (!deferred_ || deferred_->empty()) return;
-  data::ReportBatchFrame frame;
-  frame.forwarder = options_.self;
-  frame.blocks = deferred_->take_flush();
-  STAB_OBS({
-    ctr_.deferred_flushes.inc();
-    size_t entries = 0;
-    for (const data::ReportBlock& b : frame.blocks) entries += b.entries.size();
-    ctr_.report_flush_entries.record(entries);
-  });
-#if STAB_OBS_ENABLED
-  if (STAB_TRACE_WANTS(tracer_, obs::SpanEvent::kAckReport)) {
-    TimePoint now = env().now();
-    for (const data::ReportBlock& b : frame.blocks) {
-      if (b.reporter != options_.self) continue;  // relays traced at source
-      for (const data::ReportEntry& e : b.entries)
-        tracer_->record(now, obs::SpanEvent::kAckReport, options_.self,
-                        e.about_origin, e.seq, kInvalidNode,
-                        types_.name(e.type));
-    }
-  }
-#endif
-
-  // Routing. A mirror in aggregated mode hands its vector to the AZ
-  // aggregator (one intra-AZ frame; the aggregator merges and forwards
-  // long-haul). Everything else — kDeferred mode, the aggregator's own
-  // merged flush, or a mirror whose aggregator is currently unusable —
-  // fans out directly.
-  NodeId agg = kInvalidNode;
-  if (options_.report_path ==
-          StabilizerOptions::ReportPath::kDeferredAggregated &&
-      !agg_self_ && my_aggregator_ != kInvalidNode) {
-    agg = usable_aggregator();
-    if (agg == kInvalidNode) STAB_OBS(ctr_.agg_fallback_direct.inc());
-  }
-
-  if (agg != kInvalidNode) {
-    Bytes enc = data::encode(frame);
-    STAB_OBS({
-      ctr_.report_batches_sent.inc();
-      ctr_.report_bytes_sent.inc(enc.size());
-    });
-    transport_.send(agg, std::move(enc));
-  } else if (options_.broadcast_acks) {
-    // One encode, refcounted fan-out — same zero-copy shape as flush_acks.
-    auto encoded = std::make_shared<const Bytes>(data::encode(frame));
-    for (NodeId peer = 0; peer < options_.topology.num_nodes(); ++peer) {
-      if (peer == options_.self || excluded_[peer]) continue;
-      transport_.send_shared(peer, encoded);
-      STAB_OBS({
-        ++ctr_.pending_shared_sends;
-        ctr_.report_batches_sent.inc();
-        ctr_.report_bytes_sent.inc(encoded->size());
-      });
-    }
-  } else {
-    // Origin-scoped: each stream's authority receives only the blocks'
-    // entries about that stream (mirrors flush-to-aggregator still send the
-    // full vector above; it is the direct fan-out that scopes).
-    for (NodeId about = 0; about < options_.topology.num_nodes(); ++about) {
-      const NodeId to = stream_primary_[about];
-      if (about == options_.self || to == options_.self || excluded_[to])
-        continue;
-      data::ReportBatchFrame scoped;
-      scoped.forwarder = options_.self;
-      for (const data::ReportBlock& b : frame.blocks) {
-        data::ReportBlock nb;
-        nb.reporter = b.reporter;
-        nb.primary_epoch = b.primary_epoch;
-        for (const data::ReportEntry& e : b.entries)
-          if (e.about_origin == about) nb.entries.push_back(e);
-        if (!nb.entries.empty()) scoped.blocks.push_back(std::move(nb));
-      }
-      if (scoped.blocks.empty()) continue;
-      Bytes enc = data::encode(scoped);
-      STAB_OBS({
-        ctr_.report_batches_sent.inc();
-        ctr_.report_bytes_sent.inc(enc.size());
-      });
-      transport_.send(to, std::move(enc));
-    }
-  }
-  STAB_OBS(ctr_.flush_pending());
-}
-
 // --- retransmission ------------------------------------------------------------
 
 void Stabilizer::schedule_retransmit_timer() {
@@ -850,12 +574,9 @@ void Stabilizer::schedule_retransmit_timer() {
 
 void Stabilizer::retransmit_check() {
   // Control-plane heartbeat: re-issue the latest cumulative reports in case
-  // a previous ACK frame was lost (receivers max-merge, so this is
+  // a previous report frame was lost (receivers max-merge, so this is
   // idempotent).
-  for (NodeId about = 0; about < reported_.size(); ++about)
-    for (StabilityTypeId t = 0; t < reported_[about].size(); ++t)
-      if (reported_[about][t] != kNoSeq)
-        mark_dirty(about, t, reported_[about][t], {});
+  reports_.renote_issued();
 
   // Unconfirmed session announcements ride the same probe cadence (a RESUME
   // lost to a partition must eventually land; duplicates are epoch-deduped).
@@ -1064,9 +785,9 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
     for (NodeId origin = 0; origin < n; ++origin) {
       SeqNum cursor = in_[origin].received_through();
       if (origin == options_.self || cursor == kNoSeq) continue;
-      mark_dirty(origin, StabilityTypeRegistry::kReceived, cursor, {});
+      reports_.note(origin, StabilityTypeRegistry::kReceived, cursor);
       if (options_.auto_report_delivered)
-        mark_dirty(origin, StabilityTypeRegistry::kDelivered, cursor, {});
+        reports_.note(origin, StabilityTypeRegistry::kDelivered, cursor);
     }
   } catch (const CodecError& e) {
     return Status::error(std::string("restore: corrupt snapshot: ") +
@@ -1255,13 +976,12 @@ Status Stabilizer::report_stability(const std::string& type_name,
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   StabilityTypeId type = types_.get_or_register(type_name);
   // Peers refuse frames naming such a type, so reporting it would make them
-  // drop every ACKBATCH this node sends.
+  // drop every report frame this node sends.
   if (type >= kMaxStabilityTypes)
     return Status::error("report_stability: more than kMaxStabilityTypes "
                          "stability types");
-  engines_[origin]->on_ack(type, options_.self, seq,
-                           BytesView(extra.data(), extra.size()));
-  mark_dirty(origin, type, seq, Bytes(extra.begin(), extra.end()));
+  engines_[origin]->on_ack(type, options_.self, seq, extra);
+  reports_.note(origin, type, seq, extra);
   return Status::ok();
 }
 
@@ -1418,10 +1138,10 @@ void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
         ctr_.failover_seqs_skipped.inc(static_cast<uint64_t>(target - cur)));
     FrontierEngine& engine = *engines_[origin];
     engine.on_ack(StabilityTypeRegistry::kReceived, options_.self, target);
-    mark_dirty(origin, StabilityTypeRegistry::kReceived, target, {});
+    reports_.note(origin, StabilityTypeRegistry::kReceived, target);
     if (options_.auto_report_delivered) {
       engine.on_ack(StabilityTypeRegistry::kDelivered, options_.self, target);
-      mark_dirty(origin, StabilityTypeRegistry::kDelivered, target, {});
+      reports_.note(origin, StabilityTypeRegistry::kDelivered, target);
     }
   } else if (target < cur && allow_rollback) {
     // Rollback: we consumed an old-epoch suffix the reconciliation round

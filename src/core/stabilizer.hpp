@@ -7,7 +7,8 @@
 //     frames held, each hole NACKed once, a retransmit probe as fallback);
 //   * the control plane: one FrontierEngine per origin stream (an SST-style
 //     AckTable plus the registered stability-frontier predicates), fed by a
-//     continuous monotonic ACK stream that is batched per ack_interval;
+//     continuous stream of monotonic reports that leaves each node through
+//     one ReportPlane, batched per ack_interval;
 //   * the paper's interfaces: send, register_predicate / change_predicate,
 //     get_stability_frontier, monitor_stability_frontier, waitfor, and
 //     report_stability for application-defined stability levels.
@@ -54,11 +55,11 @@
 
 #include "common/depth_scratch.hpp"
 #include "config/topology.hpp"
-#include "control/deferred_reporter.hpp"
 #include "control/frontier_engine.hpp"
 #include "core/in_stream.hpp"
 #include "core/out_stream.hpp"
 #include "core/pipeline.hpp"
+#include "core/report_plane.hpp"
 #include "data/wire.hpp"
 #include "dsl/predicate.hpp"
 #include "net/transport.hpp"
@@ -70,8 +71,9 @@ struct StabilizerOptions {
   Topology topology;
   NodeId self = 0;
 
-  /// Control-plane batching: dirty stability reports are flushed at most
-  /// this often. Monotonicity makes coalescing lossless (§III-A).
+  /// Control-plane batching: the one flush period of the report plane
+  /// (DESIGN.md §10). A stability report leaves this node at most this long
+  /// after it is made; monotonicity makes coalescing lossless (§III-A).
   Duration ack_interval = millis(2);
 
   /// Retransmission probe period; zero disables (the default — the bundled
@@ -103,34 +105,14 @@ struct StabilizerOptions {
   /// what the large trace benches use.
   bool broadcast_acks = true;
 
-  /// Control-plane propagation strategy (DESIGN.md §10, docs/TUNING.md).
-  ///   kImmediate          — the seed behaviour: every plain report rides
-  ///                         the next ack_interval ACKBATCH flush.
-  ///   kDeferred           — plain (extra-free) reports accumulate in a
-  ///                         DeferredReporter and flush as one REPORTBATCH
-  ///                         per deferred_flush_interval (or earlier when
-  ///                         deferred_delta_threshold trips).
-  ///   kDeferredAggregated — as kDeferred, but mirrors flush only to their
-  ///                         AZ's aggregator (Topology::set_az_aggregator);
-  ///                         the aggregator max-merges its members' vectors
-  ///                         and forwards one merged frame long-haul. A dead
-  ///                         aggregator (excluded / stalled / deposed) is
-  ///                         bypassed: mirrors fall back to direct fan-out.
-  /// Reports carrying extra bytes always use the immediate ACKBATCH path —
-  /// extra payloads are not merged. Stability semantics are unchanged in
-  /// every mode (reports stay cumulative monotonic maxima; only their
-  /// propagation latency changes, bounded by the flush interval per hop).
-  /// With retransmit_timeout enabled, keep it above deferred_flush_interval
-  /// so the heartbeat re-issue does not race the ordinary flush.
-  enum class ReportPath { kImmediate, kDeferred, kDeferredAggregated };
-  ReportPath report_path = ReportPath::kImmediate;
-  /// Deferred-mode flush period (the frontier-lag price of the bandwidth
-  /// saving; see bench_stability_propagation).
-  Duration deferred_flush_interval = millis(50);
-  /// When > 0, a flush is also triggered as soon as the accumulated
-  /// seq-advance units since the last flush reach this value (bounds
-  /// staleness under bursts without shortening the idle-time period).
-  uint64_t deferred_delta_threshold = 0;
+  /// true: mirrors send their plain (extra-free) reports through their AZ's
+  /// aggregator (Topology::set_az_aggregator), which max-merges its members'
+  /// reports and forwards them in its own flush, one merged frame long-haul.
+  /// A dead aggregator (excluded, stalled or deposed) is bypassed: mirrors
+  /// send directly until it heals. An AZ without an aggregator, and every
+  /// report with extra bytes, goes directly. Stability semantics are the
+  /// same either way; a relayed report pays one more flush of lag.
+  bool aggregate_reports = false;
 
   /// Large writes are split into messages of at most this size (§VI-B:
   /// "Stabilizer splits big writes into smaller packets whose upper bound is
@@ -191,11 +173,13 @@ struct StabilizerStats {
   uint64_t messages_sent = 0;       // local stream messages
   uint64_t frames_transmitted = 0;  // DATA frames put on the wire
   uint64_t messages_delivered = 0;  // remote messages upcalled
+  // The report plane (DESIGN.md §10). Plain reports travel in REPORTBATCH
+  // frames, reports with extra bytes in ACKBATCH frames; *_batches_sent
+  // count frames put on the wire (frames x destinations), *_entries_applied
+  // the entries received. deferred_flushes counts report-plane flushes that
+  // found reports pending.
   uint64_t ack_batches_sent = 0;
   uint64_t ack_entries_applied = 0;
-  // Deferred propagation (DESIGN.md §10). report_batches_sent counts
-  // REPORTBATCH frames put on the wire (flushes × destinations);
-  // deferred_flushes counts take_flush() drains (timer or delta-triggered).
   uint64_t report_batches_sent = 0;
   uint64_t report_entries_applied = 0;
   uint64_t deferred_flushes = 0;
@@ -512,28 +496,6 @@ class Stabilizer {
   void handle_resume(NodeId src, const data::ResumeFrame& frame);
   void send_resume(NodeId peer, bool reply = false);
   void mark_peer_recovered(NodeId peer);
-  void mark_dirty(NodeId about, StabilityTypeId type, SeqNum seq, Bytes extra);
-  void flush_acks();
-  void schedule_ack_timer();
-  // --- deferred propagation (DESIGN.md §10) ----------------------------------
-  bool deferred_mode() const {
-    return options_.report_path != StabilizerOptions::ReportPath::kImmediate;
-  }
-  /// True when this node is the designated aggregator of its own AZ (only
-  /// meaningful in kDeferredAggregated mode).
-  bool is_aggregator() const { return agg_self_; }
-  /// The AZ aggregator this mirror should flush through, or kInvalidNode
-  /// when none is usable right now (unset, self, excluded, stalled, or
-  /// deposed) — the caller then falls back to direct fan-out.
-  NodeId usable_aggregator() const;
-  /// Parks one plain report in the deferred accumulator and arms the flush
-  /// timer (or flushes immediately on a delta-threshold trip).
-  void note_deferred(NodeId about, StabilityTypeId type, SeqNum seq);
-  /// Drains the accumulator into one REPORTBATCH and routes it: aggregator
-  /// or direct broadcast (kDeferred / fallback), origin-scoped when
-  /// broadcast_acks is off.
-  void flush_deferred();
-  void schedule_deferred_timer();
   void schedule_retransmit_timer();
   void retransmit_check();
   void schedule_stall_timer();
@@ -587,29 +549,6 @@ class Stabilizer {
   RawHandler raw_handler_;
   std::vector<bool> excluded_;
 
-  struct DirtyAck {
-    SeqNum seq = kNoSeq;
-    Bytes extra;
-  };
-  // dirty_[about][type] = highest pending report
-  std::vector<std::vector<DirtyAck>> dirty_;
-  // reported_[about][type] = highest report ever issued; the retransmission
-  // probe re-marks these so lost ACK frames are recovered (cumulative
-  // reports make the re-send idempotent).
-  std::vector<std::vector<SeqNum>> reported_;
-  bool any_dirty_ = false;
-  bool ack_timer_armed_ = false;
-  TimerId ack_timer_ = kInvalidTimer;
-  // Deferred propagation (null in kImmediate mode). deferred_ accumulates
-  // our own plain reports plus, on an aggregator, absorbed member blocks.
-  // agg_self_ / my_aggregator_ / same_az_ are derived from the topology at
-  // construction (same_az_[n] = n shares our AZ: the absorb admission set).
-  std::unique_ptr<control::DeferredReporter> deferred_;
-  bool deferred_timer_armed_ = false;
-  TimerId deferred_timer_ = kInvalidTimer;
-  bool agg_self_ = false;
-  NodeId my_aggregator_ = kInvalidNode;
-  std::vector<bool> same_az_;
   // Deferred-flush state (armed only while coalescing is enabled).
   bool flush_armed_ = false;
   TimerId flush_timer_ = kInvalidTimer;
@@ -678,7 +617,6 @@ class Stabilizer {
     obs::Counter& report_bytes_sent;
     obs::Counter& report_entries_applied;
     obs::Counter& deferred_flushes;
-    obs::Counter& deferred_delta_flushes;
     obs::Counter& agg_blocks_absorbed;
     obs::Counter& agg_fallback_direct;
     obs::Counter& report_blocks_fenced;
@@ -727,14 +665,16 @@ class Stabilizer {
   mutable uint64_t trace_dropped_synced_ = 0;
 #endif
 
-  // The receive and send sides of the data plane are parts of this node:
-  // they read and write its state under mutex_.
+  // The receive and send sides of the data plane and the way reports leave
+  // are parts of this node: they read and write its state under mutex_.
   friend class InStream;
   friend class OutStream;
+  friend class ReportPlane;
   // The streams this node sequences: its own, and by origin the ones it won
   // in failover elections.
   OutStream own_{*this, options_.self, 0};
   std::map<NodeId, OutStream> adopted_;
+  ReportPlane reports_{*this};
   mutable std::recursive_mutex mutex_;
 };
 

@@ -9,17 +9,17 @@
 //   * NACK     — a receive stream's repair request to the stream's primary:
 //     "resend [from, to] of this stream", sent once per new hole (data
 //     plane; the primary resends exactly that range),
-//   * ACKBATCH — batched monotonic stability reports (control plane),
+//   * ACKBATCH — batched monotonic stability reports that carry extra
+//     application bytes (control plane),
 //   * RESUME   — a restarted node's session announcement: "I am epoch E and
 //     hold your stream through seq S"; the receiver rewinds its send
 //     cursor to S+1 and re-issues its cumulative reports (crash–restart
 //     rejoin),
-//   * REPORTBATCH — deferred control plane: the merged cumulative report
-//     vectors of one or more reporters in a single frame. A mirror running
-//     deferred propagation flushes its own vector on a timer/delta
-//     threshold; an AZ aggregator max-merges its members' vectors and
-//     forwards them long-haul as one frame. Entries are plain (extra-free)
-//     monotonic reports — reports carrying extra bytes stay on ACKBATCH.
+//   * REPORTBATCH — the plain (extra-free) monotonic reports of one or
+//     more reporters in a single frame: every node's report flush carries
+//     its own block, and an AZ aggregator's also carries the blocks it
+//     max-merged from its members, forwarded long-haul as one frame.
+//     Reports carrying extra bytes travel on ACKBATCH.
 // Control frames are tiny and sent continuously; data frames stream as fast
 // as the link allows — the paper's control/data separation means neither
 // ever blocks waiting for the other.
@@ -113,7 +113,7 @@ struct AckBatchFrame {
 
 /// One plain monotonic report: "reporter's `type` frontier on `about_origin`'s
 /// stream has reached `seq`". The extra-free subset of AckEntry — anything
-/// carrying application bytes travels on ACKBATCH even in deferred mode.
+/// carrying application bytes travels on ACKBATCH.
 struct ReportEntry {
   NodeId about_origin = kInvalidNode;
   StabilityTypeId type = 0;
@@ -130,10 +130,10 @@ struct ReportBlock {
   std::vector<ReportEntry> entries;
 };
 
-/// Deferred-mode control frame: the merged report vectors of `blocks.size()`
-/// reporters. A mirror's flush carries one block (its own); an aggregator's
-/// long-haul flush carries one block per AZ member it has absorbed since its
-/// last flush. Receivers apply every block exactly as if it had arrived as
+/// The plain-report control frame: the merged report vectors of
+/// `blocks.size()` reporters. A node's flush carries one block (its own); an
+/// aggregator's long-haul flush also carries one block per AZ member it has
+/// absorbed since its last flush. Receivers apply every block exactly as if it had arrived as
 /// that reporter's own ACKBATCH — merging is associative because reports are
 /// cumulative maxima.
 struct ReportBatchFrame {

@@ -40,7 +40,7 @@ enum class SpanEvent : uint8_t {
   kBroadcast = 0,     // send() sequenced a local message
   kTransmit = 1,      // a DATA/DATABATCH transmission to one peer
   kDeliver = 2,       // in-order delivery upcall at a receiver
-  kAckReport = 3,     // a stability report left in an ACKBATCH flush
+  kAckReport = 3,     // a stability report left in a report-plane flush
   kFrontierFire = 4,  // a predicate's frontier advanced (detail = key)
   // Failover episode markers (origin = the guarded stream):
   kLeaseExpire = 5,    // a mirror's lease on the primary ran out

@@ -255,6 +255,8 @@ StabilizerStats ShardedStabilizer::stats() const {
     total.messages_delivered += s.messages_delivered;
     total.ack_batches_sent += s.ack_batches_sent;
     total.ack_entries_applied += s.ack_entries_applied;
+    total.report_batches_sent += s.report_batches_sent;
+    total.report_entries_applied += s.report_entries_applied;
     total.duplicates_dropped += s.duplicates_dropped;
     total.gaps_detected += s.gaps_detected;
     total.retransmits_sent += s.retransmits_sent;

@@ -1,4 +1,4 @@
-// Allocation budget of the control-plane receive path.
+// Allocation budget of the control plane.
 //
 // This binary replaces the global operator new with one that counts calls on
 // a thread-local counter. A node of a 16-node fleet (7 predicates and a
@@ -7,12 +7,15 @@
 // REPORTBATCH frames must apply without a single allocation. The frames are
 // read in place, their reports are grouped in reused per-depth scratch, and
 // the engines dispatch through a dense index into reused dirty lists. The
-// node is not an AZ aggregator: an aggregator's DeferredReporter::absorb
-// still allocates per cell it notes.
+// report plane keeps the same budget: an AZ aggregator absorbs its members'
+// blocks into its flat grid without allocating, and a flush allocates only
+// the frames it encodes (and, for a broadcast, one shared_ptr each).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
 #include <string>
 #include <utility>
@@ -85,6 +88,58 @@ class CaptureTransport final : public Transport {
   ReceiveHandler handler_;
 };
 
+/// A transport with a hand-fired clock: it drops every send (counting the
+/// frames), keeps the receive handler, and holds scheduled callbacks until
+/// the test fires them, so neither a network nor a timer queue allocates
+/// inside a counted window.
+class ManualTransport final : public Transport, public Env {
+ public:
+  explicit ManualTransport(size_t nodes) : nodes_(nodes) {
+    due_.reserve(16);
+    firing_.reserve(16);
+  }
+  NodeId self() const override { return 0; }
+  size_t cluster_size() const override { return nodes_; }
+  void set_receive_handler(ReceiveHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void send(NodeId, Bytes, uint64_t) override { ++frames; }
+  void send_shared(NodeId, std::shared_ptr<const Bytes> frame,
+                   uint64_t) override {
+    // Holding the last frame keeps the next one from reusing its address.
+    if (frame != last_shared_) ++shared_frames;
+    last_shared_ = std::move(frame);
+  }
+  Env& env() override { return *this; }
+  bool single_threaded() const override { return true; }
+
+  TimePoint now() const override { return TimePoint{}; }
+  TimerId schedule_after(Duration, std::function<void()> fn) override {
+    due_.push_back(std::move(fn));
+    return due_.size();
+  }
+  void cancel(TimerId) override {}
+
+  void deliver(NodeId src, const Bytes& frame) {
+    handler_(src, frame, frame.size());
+  }
+  /// Runs every callback scheduled so far.
+  void fire() {
+    firing_.swap(due_);
+    for (auto& fn : firing_) fn();
+    firing_.clear();
+  }
+
+  uint64_t frames = 0;         // frames handed to send()
+  uint64_t shared_frames = 0;  // distinct frames handed to send_shared()
+
+ private:
+  size_t nodes_;
+  ReceiveHandler handler_;
+  std::vector<std::function<void()>> due_, firing_;
+  std::shared_ptr<const Bytes> last_shared_;
+};
+
 constexpr NodeId kSelf = 1;  // az0's second node; az0's aggregator is node 0
 
 // sim_fleet's predicate set, seen from an az0 node of fleet_topology(4, 4).
@@ -133,15 +188,15 @@ Bytes frame(size_t k, size_t num_nodes) {
 }
 
 TEST(AllocBudget, ControlFramesApplyWithoutAllocating) {
-  const Topology topo = fleet_topology(4, 4);
+  StabilizerOptions opts;
+  opts.topology = fleet_topology(4, 4);
+  opts.self = kSelf;
+  const Topology& topo = opts.topology;
   const size_t n = topo.num_nodes();
   ASSERT_NE(topo.az_aggregator(topo.az_of(kSelf)), kSelf);
   sim::Simulator sim;
   SimCluster cluster(topo, sim);
   CaptureTransport wire(cluster.transport(kSelf));
-  StabilizerOptions opts;
-  opts.topology = topo;
-  opts.self = kSelf;
   Stabilizer node(opts, wire);
   uint64_t fires = 0;
   for (const auto& [key, source] : kPredicates) {
@@ -171,6 +226,91 @@ TEST(AllocBudget, ControlFramesApplyWithoutAllocating) {
   // The measured frames did real work: frontiers moved and monitors fired.
   EXPECT_GT(fires, fires_at_warmup);
   EXPECT_GT(node.get_stability_frontier("AllWNodes", 0), frontier_at_warmup);
+}
+
+/// Node 0, az0's aggregator, absorbs its members' REPORTBATCH frames. The
+/// flush runs between frames, outside the counted window, so every measured
+/// frame lands in a freshly drained grid.
+TEST(AllocBudget, AggregatorAbsorbsWithoutAllocating) {
+  StabilizerOptions opts;
+  opts.topology = fleet_topology(4, 4);
+  opts.self = 0;
+  opts.aggregate_reports = true;
+  const Topology& topo = opts.topology;
+  const size_t n = topo.num_nodes();
+  ASSERT_EQ(topo.az_aggregator(topo.az_of(0)), NodeId{0});
+  const std::vector<NodeId> members = topo.nodes_in_az(topo.az_of(0));
+  ManualTransport wire(n);
+  Stabilizer node(opts, wire);
+  for (const auto& [key, source] : kPredicates)
+    ASSERT_TRUE(node.register_predicate(key, source)) << key;
+
+  constexpr size_t kWarmup = 300, kMeasured = 1500;
+  std::vector<std::pair<NodeId, Bytes>> frames;
+  for (size_t k = 0; k < kWarmup + kMeasured; ++k) {
+    const NodeId member = members[1 + k % (members.size() - 1)];
+    data::ReportBatchFrame f;
+    f.forwarder = member;
+    data::ReportBlock b{member, 0, {}};
+    for (NodeId o = 0; o < n; ++o)
+      for (StabilityTypeId t : {StabilityTypeRegistry::kReceived,
+                                StabilityTypeRegistry::kPersisted})
+        b.entries.push_back(
+            data::ReportEntry{o, t, static_cast<SeqNum>(k / 3)});
+    f.blocks.push_back(std::move(b));
+    frames.emplace_back(member, data::encode(f));
+  }
+  uint64_t absorbing = 0, flushing = 0, flushes = 0;
+  for (size_t k = 0; k < frames.size(); ++k) {
+    uint64_t before = t_allocations;
+    wire.deliver(frames[k].first, frames[k].second);
+    if (k >= kWarmup) absorbing += t_allocations - before;
+    const uint64_t shared = wire.shared_frames;
+    before = t_allocations;
+    wire.fire();
+    if (k >= kWarmup) {
+      flushing += t_allocations - before;
+      flushes += wire.shared_frames - shared;
+    }
+  }
+  EXPECT_EQ(absorbing, 0u);
+  // One broadcast REPORTBATCH per flush: its encode and its shared_ptr.
+  EXPECT_EQ(flushes, kMeasured);
+  EXPECT_LE(flushing, 2 * flushes);
+#if STAB_OBS_ENABLED
+  EXPECT_GE(node.stats().agg_blocks_absorbed, kWarmup + kMeasured);
+#endif
+}
+
+/// A mirror's flush allocates only what it encodes: one frame and its
+/// shared_ptr for a broadcast, one frame per stream authority when reports
+/// are origin-scoped.
+TEST(AllocBudget, FlushAllocatesOnlyItsFrames) {
+  for (bool broadcast : {true, false}) {
+    StabilizerOptions opts;
+    opts.topology = fleet_topology(4, 4);
+    const size_t n = opts.topology.num_nodes();
+    ManualTransport wire(n);
+    opts.self = kSelf;
+    opts.broadcast_acks = broadcast;
+    Stabilizer node(opts, wire);
+    constexpr SeqNum kWarmup = 50, kRounds = 400;
+    uint64_t allocations = 0, budget = 0;
+    for (SeqNum round = 0; round < kWarmup + kRounds; ++round) {
+      for (NodeId o = 0; o < n; ++o)
+        for (const char* type : {"persisted", "verified"})
+          ASSERT_TRUE(node.report_stability(type, o, round));
+      const uint64_t frames = wire.frames, shared = wire.shared_frames;
+      const uint64_t before = t_allocations;
+      wire.fire();
+      if (round >= kWarmup) {
+        allocations += t_allocations - before;
+        budget += (wire.frames - frames) + 2 * (wire.shared_frames - shared);
+      }
+    }
+    EXPECT_GT(budget, 0u) << "broadcast " << broadcast;
+    EXPECT_LE(allocations, budget) << "broadcast " << broadcast;
+  }
 }
 
 }  // namespace

@@ -415,52 +415,45 @@ TEST(ChaosCampaign, LegacyScanAgreesWithIndexedPostHeal) {
   EXPECT_EQ(indexed->core_digest(), legacy->core_digest());
 }
 
-// --- deferred stability propagation (DESIGN.md §10) ---------------------------
+// --- the report plane (DESIGN.md §10) -----------------------------------------
 //
-// Deferred mode trades propagation latency for control bandwidth: mirrors
-// accumulate cumulative report vectors and flush them as merged REPORTBATCH
-// frames on a timer. The batching must be invisible to the application —
-// the same campaign (loss + crash/restart rejoin + partition) lands on the
-// same post-heal core digest as the immediate ACKBATCH path, per seed.
+// A longer flush period trades propagation latency for control bandwidth:
+// each flush carries a node's coalesced cumulative reports. The batching
+// must be invisible to the application — the same campaign (loss +
+// crash/restart rejoin + partition) lands on the same post-heal core digest
+// at a 20 ms ack_interval as at the default 2 ms, per seed.
+
+#if STAB_OBS_ENABLED
+/// Report frames of both kinds sent by the nodes still alive at the end (a
+/// restart resets a node's stats).
+uint64_t report_frames(ChaosCluster& c) {
+  uint64_t frames = 0;
+  for (NodeId o = 0; o < c.num_nodes(); ++o) {
+    const StabilizerStats s = c.node(o).stats();
+    frames += s.ack_batches_sent + s.report_batches_sent;
+  }
+  return frames;
+}
+#endif
+
 TEST(ChaosCampaign, DeferredAgreesWithImmediatePostHeal) {
   StabilizerOptions deferred = chaos_base_options();
-  deferred.report_path = StabilizerOptions::ReportPath::kDeferred;
-  deferred.deferred_flush_interval = millis(20);
+  deferred.ack_interval = millis(20);
   auto d = run_scripted(0xC0FFEE, DispatchMode::kIndexed, deferred);
   auto imm = run_scripted(0xC0FFEE, DispatchMode::kIndexed);
   d->check_converged();
   imm->check_converged();
   EXPECT_EQ(d->core_digest(), imm->core_digest());
 
-  // Deferred campaigns replay deterministically per seed.
+  // Longer flush periods replay deterministically per seed.
   auto again = run_scripted(0xC0FFEE, DispatchMode::kIndexed, deferred);
   EXPECT_EQ(d->core_digest(), again->core_digest());
 
 #if STAB_OBS_ENABLED
-  // The campaign genuinely ran on the deferred path: flush timers fired and
-  // REPORTBATCH frames moved (surviving nodes only — a restart resets stats).
-  uint64_t flushes = 0, batches = 0;
-  for (NodeId o = 0; o < d->num_nodes(); ++o) {
-    flushes += d->node(o).stats().deferred_flushes;
-    batches += d->node(o).stats().report_batches_sent;
-  }
-  EXPECT_GT(flushes, 0u);
-  EXPECT_GT(batches, 0u);
+  // The 20 ms run genuinely coalesced: fewer report frames moved.
+  EXPECT_GT(report_frames(*d), 0u);
+  EXPECT_LT(report_frames(*d), report_frames(*imm));
 #endif
-}
-
-// The delta threshold flushes early when enough cumulative seq-advance has
-// accumulated; semantics must stay byte-identical to timer-only flushing.
-TEST(ChaosCampaign, DeferredDeltaThresholdAgreesPostHeal) {
-  StabilizerOptions deferred = chaos_base_options();
-  deferred.report_path = StabilizerOptions::ReportPath::kDeferred;
-  deferred.deferred_flush_interval = millis(20);
-  deferred.deferred_delta_threshold = 8;
-  auto d = run_scripted(0xC0FFEE, DispatchMode::kIndexed, deferred);
-  auto imm = run_scripted(0xC0FFEE, DispatchMode::kIndexed);
-  d->check_converged();
-  imm->check_converged();
-  EXPECT_EQ(d->core_digest(), imm->core_digest());
 }
 
 // Aggregated mesh: r0={n0,n1} with n0 aggregating, r1={n2,n3} with n2
@@ -483,19 +476,19 @@ std::unique_ptr<ChaosCluster> run_agg_scripted(uint64_t seed,
 
 TEST(ChaosCampaign, DeferredAggregatedAgreesAndBypassesDeadAggregator) {
   StabilizerOptions agg = chaos_base_options();
-  agg.report_path = StabilizerOptions::ReportPath::kDeferredAggregated;
-  agg.deferred_flush_interval = millis(20);
+  agg.aggregate_reports = true;
   auto aggregated = run_agg_scripted(0xC0FFEE, agg);
-  auto immediate = run_agg_scripted(0xC0FFEE, chaos_base_options());
+  // The reference: the same topology, aggregators named, reports direct.
+  auto direct = run_agg_scripted(0xC0FFEE, chaos_base_options());
   aggregated->check_converged();
-  immediate->check_converged();
-  EXPECT_EQ(aggregated->core_digest(), immediate->core_digest());
+  direct->check_converged();
+  EXPECT_EQ(aggregated->core_digest(), direct->core_digest());
 
   auto again = run_agg_scripted(0xC0FFEE, agg);
   EXPECT_EQ(aggregated->core_digest(), again->core_digest());
 
 #if STAB_OBS_ENABLED
-  // n0 merged its member's (n1's) vectors into long-haul flushes.
+  // n0 merged its member's (n1's) reports into long-haul flushes.
   EXPECT_GT(aggregated->node(0).stats().agg_blocks_absorbed, 0u);
   // n3 kept reporting while its aggregator n2 was crashed (t=5s..20s) by
   // falling back to direct fan-out — reports bypass a dead aggregator.
@@ -503,6 +496,9 @@ TEST(ChaosCampaign, DeferredAggregatedAgreesAndBypassesDeadAggregator) {
   // After n2's rejoin the AZ merge resumed: n2's post-restart stats count
   // fresh absorbed blocks from n3 (traffic runs until t=24s).
   EXPECT_GT(aggregated->node(2).stats().agg_blocks_absorbed, 0u);
+  // Without the option nothing is absorbed, even with aggregators named.
+  for (NodeId o = 0; o < direct->num_nodes(); ++o)
+    EXPECT_EQ(direct->node(o).stats().agg_blocks_absorbed, 0u);
 #endif
 }
 

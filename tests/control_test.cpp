@@ -13,7 +13,6 @@
 #include "config/topology.hpp"
 #include "control/ack_cells.hpp"
 #include "control/composite_frontier.hpp"
-#include "control/deferred_reporter.hpp"
 #include "control/frontier_board.hpp"
 #include "control/frontier_engine.hpp"
 
@@ -763,88 +762,6 @@ TEST(CompositeFrontierProperty, MonotoneUnderConcurrentAdvances) {
   reader.join();
   EXPECT_EQ(cf.combined("k"),
             *std::min_element(truth.begin(), truth.end()));
-}
-
-// --- DeferredReporter -------------------------------------------------------
-
-TEST(DeferredReporter, NoteIsMonotonicPerCell) {
-  control::DeferredReporter d(4);
-  EXPECT_TRUE(d.empty());
-  EXPECT_TRUE(d.note(1, 0, 0, 0, 5));
-  EXPECT_FALSE(d.note(1, 0, 0, 0, 5));  // duplicate
-  EXPECT_FALSE(d.note(1, 0, 0, 0, 3));  // regression ignored
-  EXPECT_TRUE(d.note(1, 0, 0, 0, 7));   // advance
-  EXPECT_FALSE(d.empty());
-  EXPECT_THROW(d.note(4, 0, 0, 0, 0), std::out_of_range);
-}
-
-TEST(DeferredReporter, DeltaAccountsSeqUnits) {
-  control::DeferredReporter d(2);
-  // First note of a cell at seq s counts s+1 units (seqs start at 0).
-  d.note(0, 0, 1, 0, 9);
-  EXPECT_EQ(d.pending_delta(), 10u);
-  // An advance counts only the increment.
-  d.note(0, 0, 1, 0, 14);
-  EXPECT_EQ(d.pending_delta(), 15u);
-  // A second cell accumulates independently.
-  d.note(1, 0, 0, 2, 0);
-  EXPECT_EQ(d.pending_delta(), 16u);
-}
-
-TEST(DeferredReporter, TakeFlushDrainsDeterministically) {
-  control::DeferredReporter d(3);
-  d.note(2, 7, 0, 1, 3);
-  d.note(0, 1, 1, 0, 8);
-  d.note(2, 7, 0, 0, 4);
-  auto blocks = d.take_flush();
-  ASSERT_EQ(blocks.size(), 2u);  // reporter order: 0 then 2
-  EXPECT_EQ(blocks[0].reporter, 0u);
-  EXPECT_EQ(blocks[0].primary_epoch, 1u);
-  ASSERT_EQ(blocks[1].entries.size(), 2u);
-  // Entries ordered by (about, type): (0,0) before (0,1).
-  EXPECT_EQ(blocks[1].entries[0].type, 0u);
-  EXPECT_EQ(blocks[1].entries[0].seq, 4);
-  EXPECT_EQ(blocks[1].entries[1].type, 1u);
-  EXPECT_EQ(blocks[1].entries[1].seq, 3);
-  EXPECT_TRUE(d.empty());
-  EXPECT_EQ(d.pending_delta(), 0u);
-  EXPECT_TRUE(d.take_flush().empty());
-}
-
-TEST(DeferredReporter, ReNoteAfterFlushReEnters) {
-  // Healing path: after a flush the vector is clear, so the heartbeat's
-  // re-note of an unchanged seq must re-enter the pending set (re-emitting
-  // the cumulative report covers a lost flush frame).
-  control::DeferredReporter d(2);
-  d.note(0, 0, 1, 0, 6);
-  (void)d.take_flush();
-  EXPECT_TRUE(d.note(0, 0, 1, 0, 6));
-  auto blocks = d.take_flush();
-  ASSERT_EQ(blocks.size(), 1u);
-  EXPECT_EQ(blocks[0].entries[0].seq, 6);
-}
-
-TEST(DeferredReporter, AbsorbMaxMerges) {
-  control::DeferredReporter d(4);
-  d.note(2, 3, 0, 0, 10);
-  data::ReportBlock b;
-  b.reporter = 2;
-  b.primary_epoch = 5;
-  b.entries.push_back(data::ReportEntry{0, 0, 8});   // behind, ignored
-  b.entries.push_back(data::ReportEntry{0, 0, 12});  // ahead, wins
-  b.entries.push_back(data::ReportEntry{1, 1, 2});   // new cell
-  // Absorbed as the receive path sees it: read in place from the frame.
-  data::ReportBatchFrame frame;
-  frame.forwarder = 2;
-  frame.blocks.push_back(b);
-  const Bytes enc = data::encode(frame);
-  EXPECT_EQ(d.absorb(*data::decode_report_batch_view(enc).blocks.begin()), 2u);
-  auto blocks = d.take_flush();
-  ASSERT_EQ(blocks.size(), 1u);
-  EXPECT_EQ(blocks[0].primary_epoch, 5u);  // epoch max-merged too
-  ASSERT_EQ(blocks[0].entries.size(), 2u);
-  EXPECT_EQ(blocks[0].entries[0].seq, 12);
-  EXPECT_EQ(blocks[0].entries[1].seq, 2);
 }
 
 }  // namespace

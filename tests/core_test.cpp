@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/stabilizer.hpp"
 #include "net/inproc_transport.hpp"
@@ -144,8 +145,13 @@ TEST(Core, AckBatchingCoalesces) {
   // (-DSTAB_OBS=OFF), so stats introspection is gated; the semantic
   // assertions around it run in every build flavor.
 #if STAB_OBS_ENABLED
-  EXPECT_EQ(f.node(1).stats().messages_delivered, 100u);
-  EXPECT_LT(f.node(1).stats().ack_batches_sent, 30u);
+  // Plain reports ride REPORTBATCH; only reports with extra bytes would
+  // need ACKBATCH.
+  const StabilizerStats st = f.node(1).stats();
+  EXPECT_EQ(st.messages_delivered, 100u);
+  EXPECT_EQ(st.ack_batches_sent, 0u);
+  EXPECT_GT(st.report_batches_sent, 0u);
+  EXPECT_LT(st.report_batches_sent, 30u);
 #endif
   // ... and the sender still learned the final frontier exactly.
   EXPECT_EQ(f.node(0)
@@ -541,7 +547,7 @@ TEST(Core, StatsAreCoherent) {
   EXPECT_EQ(st.messages_sent, 10u);
   EXPECT_EQ(st.frames_transmitted, 20u);  // 10 msgs x 2 peers
   EXPECT_EQ(f.node(1).stats().messages_delivered, 10u);
-  EXPECT_GT(st.ack_entries_applied, 0u);
+  EXPECT_GT(st.report_entries_applied, 0u);
 }
 #endif  // STAB_OBS_ENABLED
 
@@ -772,6 +778,224 @@ TEST(Core, MalformedFramesAreDroppedAndCounted) {
   s.send(to_bytes("after"));
   f.sim.run();
   EXPECT_EQ(s.get_stability_frontier("all"), 1);
+}
+
+// --- the report plane (DESIGN.md §10) ------------------------------------------
+
+/// One node whose transport records what it sends and delivers nothing; a
+/// test hands frames to the node's receive handler itself.
+class RecordingTransport final : public Transport {
+ public:
+  RecordingTransport(sim::Simulator& sim, NodeId self, size_t nodes)
+      : sim_(sim), self_(self), nodes_(nodes) {}
+  NodeId self() const override { return self_; }
+  size_t cluster_size() const override { return nodes_; }
+  void set_receive_handler(ReceiveHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void send(NodeId dst, Bytes frame, uint64_t) override {
+    sent.push_back({dst, std::move(frame)});
+  }
+  void send_shared(NodeId dst, std::shared_ptr<const Bytes> frame,
+                   uint64_t) override {
+    sent.push_back({dst, *frame});
+  }
+  Env& env() override { return sim_; }
+  bool single_threaded() const override { return true; }
+
+  void deliver(NodeId src, const Bytes& frame) {
+    handler_(src, frame, frame.size());
+  }
+
+  std::vector<std::pair<NodeId, Bytes>> sent;
+
+ private:
+  sim::Simulator& sim_;
+  NodeId self_;
+  size_t nodes_;
+  ReceiveHandler handler_;
+};
+
+/// Node `self` of four: az0 = {n0, n1, n2} with n0 its aggregator, az1 =
+/// {n3}. The flush runs when the test advances the simulator.
+struct PlaneCase {
+  explicit PlaneCase(NodeId self, StabilizerOptions opts = {})
+      : wire(sim, self, 4) {
+    Topology topo;
+    for (const char* az : {"az0", "az0", "az0", "az1"})
+      topo.add_node("n" + std::to_string(topo.num_nodes()), az);
+    topo.set_az_aggregator("az0", 0);
+    opts.topology = topo;
+    opts.self = self;
+    node = std::make_unique<Stabilizer>(opts, wire);
+  }
+  static StabilizerOptions aggregating() {
+    StabilizerOptions o;
+    o.aggregate_reports = true;
+    return o;
+  }
+  /// Advances past one flush and returns the frames it sent to `dst`.
+  std::vector<Bytes> flush_to(NodeId dst) {
+    wire.sent.clear();
+    sim.run_until(sim.now() + millis(5));
+    std::vector<Bytes> out;
+    for (auto& [to, frame] : wire.sent)
+      if (to == dst) out.push_back(frame);
+    return out;
+  }
+  /// A member's REPORTBATCH carrying one block of its own.
+  void absorb(NodeId member, PrimaryEpoch epoch,
+              std::vector<data::ReportEntry> entries) {
+    data::ReportBatchFrame f;
+    f.forwarder = member;
+    f.blocks.push_back(data::ReportBlock{member, epoch, std::move(entries)});
+    wire.deliver(member, data::encode(f));
+  }
+
+  sim::Simulator sim;
+  RecordingTransport wire;
+  std::unique_ptr<Stabilizer> node;
+};
+
+using Entries = std::vector<std::tuple<NodeId, StabilityTypeId, SeqNum>>;
+Entries entries_of(const data::ReportBlock& b) {
+  Entries out;
+  for (const data::ReportEntry& e : b.entries)
+    out.emplace_back(e.about_origin, e.type, e.seq);
+  return out;
+}
+
+TEST(ReportPlane, NoteIsMonotonicPerCell) {
+  PlaneCase c(1);
+  const StabilityTypeId v = c.node->types().get_or_register("verified");
+  for (SeqNum seq : {5, 5, 3, 7, 6})
+    ASSERT_TRUE(c.node->report_stability("verified", 0, seq));
+  const std::vector<Bytes> frames = c.flush_to(0);
+  ASSERT_EQ(frames.size(), 1u);  // one REPORTBATCH, no ACKBATCH
+  const data::ReportBatchFrame f = data::decode_report_batch(frames[0]);
+  EXPECT_EQ(f.forwarder, 1u);
+  ASSERT_EQ(f.blocks.size(), 1u);
+  EXPECT_EQ(f.blocks[0].reporter, 1u);
+  EXPECT_EQ(entries_of(f.blocks[0]), (Entries{{0, v, 7}}));
+  EXPECT_TRUE(c.flush_to(0).empty());  // the flush drained the grid
+}
+
+// A report with extra bytes leaves as ACKBATCH, and a higher report replaces
+// a lower one together with its extra bytes.
+TEST(ReportPlane, ExtraBytesRideAckBatchUntilAHigherReport) {
+  PlaneCase c(1);
+  const StabilityTypeId v = c.node->types().get_or_register("verified");
+  ASSERT_TRUE(c.node->report_stability("verified", 0, 4, to_bytes("x")));
+  ASSERT_TRUE(c.node->report_stability("verified", 2, 1));
+  std::vector<Bytes> frames = c.flush_to(3);
+  ASSERT_EQ(frames.size(), 2u);  // plain cells first, then the extra
+  EXPECT_EQ(entries_of(data::decode_report_batch(frames[0]).blocks.at(0)),
+            (Entries{{2, v, 1}}));
+  const data::AckBatchFrame ack = data::decode_ack_batch(frames[1]);
+  ASSERT_EQ(ack.entries.size(), 1u);
+  EXPECT_EQ(ack.entries[0].seq, 4);
+  EXPECT_EQ(to_string(ack.entries[0].extra), "x");
+
+  ASSERT_TRUE(c.node->report_stability("verified", 0, 5, to_bytes("y")));
+  ASSERT_TRUE(c.node->report_stability("verified", 0, 6));
+  frames = c.flush_to(3);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(entries_of(data::decode_report_batch(frames[0]).blocks.at(0)),
+            (Entries{{0, v, 6}}));
+}
+
+// An aggregator's flush carries its own block and its members' blocks in
+// reporter order, each scanned in (about, type) order; its own block is
+// stamped with its epoch at flush time, a member's with the epoch it sent.
+TEST(ReportPlane, FlushDrainsDeterministically) {
+  PlaneCase c(0, PlaneCase::aggregating());
+  c.absorb(2, 7, {{1, 1, 3}, {1, 0, 4}});
+  c.absorb(1, 2, {{3, 0, 8}});
+  ASSERT_TRUE(c.node->report_stability("persisted", 3, 9));
+  const StabilityTypeId p = c.node->types().get_or_register("persisted");
+  const std::vector<Bytes> frames = c.flush_to(3);
+  ASSERT_EQ(frames.size(), 1u);
+  const data::ReportBatchFrame f = data::decode_report_batch(frames[0]);
+  ASSERT_EQ(f.blocks.size(), 3u);
+  EXPECT_EQ(f.blocks[0].reporter, 0u);
+  EXPECT_EQ(f.blocks[0].primary_epoch, 0u);
+  EXPECT_EQ(entries_of(f.blocks[0]), (Entries{{3, p, 9}}));
+  EXPECT_EQ(f.blocks[1].reporter, 1u);
+  EXPECT_EQ(f.blocks[1].primary_epoch, 2u);
+  EXPECT_EQ(f.blocks[2].reporter, 2u);
+  EXPECT_EQ(f.blocks[2].primary_epoch, 7u);
+  EXPECT_EQ(entries_of(f.blocks[2]), (Entries{{1, 0, 4}, {1, 1, 3}}));
+  EXPECT_TRUE(c.flush_to(3).empty());
+}
+
+// Healing: the heartbeat re-notes what a flush already sent, so a lost
+// frame's cumulative reports leave again.
+TEST(ReportPlane, RenoteAfterFlushReEnters) {
+  StabilizerOptions opts;
+  opts.retransmit_timeout = millis(20);
+  PlaneCase c(1, opts);
+  ASSERT_TRUE(c.node->report_stability("persisted", 0, 6));
+  const StabilityTypeId p = c.node->types().get_or_register("persisted");
+  ASSERT_EQ(c.flush_to(0).size(), 1u);  // t = 5 ms
+  c.sim.run_until(c.sim.now() + millis(14));
+  const std::vector<Bytes> frames = c.flush_to(0);  // heartbeat at 20 ms
+  ASSERT_EQ(frames.size(), 1u);
+  const Entries again =
+      entries_of(data::decode_report_batch(frames[0]).blocks.at(0));
+  EXPECT_NE(std::find(again.begin(), again.end(),
+                      std::make_tuple(NodeId{0}, p, SeqNum{6})),
+            again.end());
+}
+
+TEST(ReportPlane, AbsorbMaxMerges) {
+  PlaneCase c(0, PlaneCase::aggregating());
+  c.absorb(2, 3, {{0, 0, 10}});
+  c.absorb(2, 5, {{0, 0, 8}, {0, 0, 12}, {1, 1, 2}});  // behind, ahead, new
+  const std::vector<Bytes> frames = c.flush_to(3);
+  ASSERT_EQ(frames.size(), 1u);
+  const data::ReportBatchFrame f = data::decode_report_batch(frames[0]);
+  ASSERT_EQ(f.blocks.size(), 1u);
+  EXPECT_EQ(f.blocks[0].reporter, 2u);
+  EXPECT_EQ(f.blocks[0].primary_epoch, 5u);  // epoch max-merged too
+  EXPECT_EQ(entries_of(f.blocks[0]), (Entries{{0, 0, 12}, {1, 1, 2}}));
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(c.node->stats().agg_blocks_absorbed, 2u);
+#endif
+}
+
+// Hostile input at the aggregator: a member's block may name a type this
+// node never registered (legal on the wire) and a stream outside the
+// topology. The first is merged and forwarded like any other; the second is
+// dropped, and nothing reads or writes outside the grid.
+TEST(ReportPlane, AggregatorForwardsOnlyEntriesAboutKnownStreams) {
+  PlaneCase c(0, PlaneCase::aggregating());
+  c.absorb(1, 0, {{2, 0, 5}, {2, 255, 6}, {4, 0, 7}});
+  const std::vector<Bytes> frames = c.flush_to(3);
+  ASSERT_EQ(frames.size(), 1u);
+  const data::ReportBatchFrame f = data::decode_report_batch(frames[0]);
+  ASSERT_EQ(f.blocks.size(), 1u);
+  EXPECT_EQ(f.blocks[0].reporter, 1u);
+  EXPECT_EQ(entries_of(f.blocks[0]), (Entries{{2, 0, 5}, {2, 255, 6}}));
+  // The node keeps working: its own reports still leave.
+  ASSERT_TRUE(c.node->report_stability("persisted", 3, 1));
+  EXPECT_EQ(c.flush_to(3).size(), 1u);
+}
+
+// A mirror of an aggregating AZ flushes to its aggregator alone, and sends
+// directly while the aggregator is excluded.
+TEST(ReportPlane, MirrorRoutesThroughUsableAggregator) {
+  PlaneCase c(1, PlaneCase::aggregating());
+  ASSERT_TRUE(c.node->report_stability("persisted", 3, 1));
+  c.flush_to(0);
+  ASSERT_EQ(c.wire.sent.size(), 1u);
+  EXPECT_EQ(c.wire.sent[0].first, 0u);
+  c.node->set_peer_excluded(0, true);
+  ASSERT_TRUE(c.node->report_stability("persisted", 3, 2));
+  c.flush_to(0);
+  EXPECT_EQ(c.wire.sent.size(), 2u);  // to n2 and n3
+#if STAB_OBS_ENABLED
+  EXPECT_EQ(c.node->stats().agg_fallback_direct, 1u);
+#endif
 }
 
 // --- selective-repeat receive stream (DESIGN.md §4d) ----------------------------

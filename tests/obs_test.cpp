@@ -417,10 +417,10 @@ TEST(StatsCompat, StructViewReadsThroughRegistry) {
   EXPECT_EQ(s.frames_transmitted,
             reg.find_counter("data.frames_transmitted")->value());
   EXPECT_EQ(s.shared_sends, reg.find_counter("data.shared_sends")->value());
-  EXPECT_EQ(s.ack_entries_applied,
-            reg.find_counter("control.ack_entries_applied")->value());
+  EXPECT_EQ(s.report_entries_applied,
+            reg.find_counter("control.report_entries_applied")->value());
   EXPECT_GT(s.frames_transmitted, 0u);
-  EXPECT_GT(s.ack_entries_applied, 0u);
+  EXPECT_GT(s.report_entries_applied, 0u);
   // Engine-owned eval counters still aggregate into the view.
   EXPECT_GT(s.predicate_evals, 0u);
 
