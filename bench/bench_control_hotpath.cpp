@@ -4,7 +4,7 @@
 //     per-entry scan (ISSUE 1 tentpole). Each AckBatchFrame entry used to
 //     trigger an O(#predicates) scan plus a full eval of every predicate
 //     referencing the updated cell; the indexed path cuts that with a
-//     reverse dependency index + batch dedup + binding-cell skip. Writes
+//     reverse dependency index + batch dedup + crossing rule. Writes
 //     BENCH_control.json (working artifact, not committed — see
 //     EXPERIMENTS.md "Control-plane hot path" for the recorded numbers).
 //

@@ -7,6 +7,13 @@
 // implies the stability of messages prior to Y" (§III-A). update() is a
 // max-merge and says whether anything changed, which drives incremental
 // predicate re-evaluation.
+//
+// Cells never decrease: there is no reset and no other write path. The
+// FrontierEngine that owns a table keeps, per predicate, a count of the
+// cells above its frontier, current only because every change arrives
+// through its dispatch (DESIGN.md §4c). A future reset (say, a peer's
+// receipts at an epoch boundary) must go through the engine and re-bind
+// every entry's counts (Predicate::bind) afterwards.
 #pragma once
 
 #include <span>
@@ -27,8 +34,8 @@ class AckTable final : public dsl::AckSource {
   /// entry advanced. Out-of-range nodes and type ids at or above
   /// kMaxStabilityTypes are ignored (returns false), so no report can grow
   /// the table past the cap. When `old_value` is given it receives the
-  /// cell's pre-merge value — the frontier engine's binding-cell skip needs
-  /// it to decide whether the updated cell was binding.
+  /// cell's pre-merge value — the frontier engine's crossing rule needs it
+  /// to decide whether the advance crossed a frontier.
   bool update(StabilityTypeId type, NodeId node, SeqNum seq,
               int64_t* old_value = nullptr) {
     if (node >= num_nodes_ || type >= kMaxStabilityTypes) return false;

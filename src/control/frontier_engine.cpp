@@ -27,7 +27,8 @@ void FrontierEngine::set_obs(ObsSinks sinks) {
 }
 #endif
 
-Result<dsl::Predicate> FrontierEngine::compile(const std::string& source) {
+Result<FrontierEngine::PredicatePtr> FrontierEngine::compile(
+    const std::string& source) {
   dsl::PredicateContext ctx;
   ctx.topology = &topology_;
   ctx.self = self_;
@@ -38,15 +39,18 @@ Result<dsl::Predicate> FrontierEngine::compile(const std::string& source) {
     return id < kMaxStabilityTypes ? std::optional<StabilityTypeId>(id)
                                    : std::nullopt;
   };
-  return dsl::Predicate::compile(source, ctx, mode_);
+  auto pred = dsl::Predicate::compile(source, ctx, mode_);
+  if (!pred.is_ok()) return Result<PredicatePtr>::error(pred.message());
+  return PredicatePtr(
+      std::make_shared<const dsl::Predicate>(std::move(pred).value()));
 }
 
 void FrontierEngine::index_entry(Entry& entry) {
   const size_t num_nodes = acks_.num_nodes();
-  for (StabilityTypeId t : entry.predicate.referenced_types()) {
+  for (StabilityTypeId t : entry.predicate->referenced_types()) {
     if (cell(t, 0) + num_nodes > index_.size())
       index_.resize(cell(t, 0) + num_nodes);
-    for (NodeId n : entry.predicate.referenced_nodes()) {
+    for (NodeId n : entry.predicate->referenced_nodes()) {
       if (n >= num_nodes) continue;  // AckTable::update refuses such reports
       index_[cell(t, n)].push_back(&entry);
       entry.index_cells.push_back(cell(t, n));
@@ -70,9 +74,17 @@ Status FrontierEngine::register_predicate(const std::string& key,
                          "' already registered (use change_predicate)");
   auto pred = compile(source);
   if (!pred.is_ok()) return Status::error(pred.message());
+  return register_predicate(key, std::move(pred).value());
+}
+
+Status FrontierEngine::register_predicate(const std::string& key,
+                                          PredicatePtr predicate) {
+  if (entries_.count(key))
+    return Status::error("predicate '" + key +
+                         "' already registered (use change_predicate)");
   auto entry = std::make_unique<Entry>();
-  entry->predicate = std::move(pred).value();
-  for (StabilityTypeId t : entry->predicate.referenced_types())
+  entry->predicate = std::move(predicate);
+  for (StabilityTypeId t : entry->predicate->referenced_types())
     acks_.ensure_type(t);
   Entry& ref = *entry;
   STAB_OBS({
@@ -92,14 +104,21 @@ Status FrontierEngine::register_predicate(const std::string& key,
 
 Status FrontierEngine::change_predicate(const std::string& key,
                                         const std::string& source) {
-  auto it = entries_.find(key);
-  if (it == entries_.end())
+  if (!entries_.count(key))
     return Status::error("predicate '" + key + "' not registered");
   auto pred = compile(source);
   if (!pred.is_ok()) return Status::error(pred.message());
+  return change_predicate(key, std::move(pred).value());
+}
+
+Status FrontierEngine::change_predicate(const std::string& key,
+                                        PredicatePtr predicate) {
+  auto it = entries_.find(key);
+  if (it == entries_.end())
+    return Status::error("predicate '" + key + "' not registered");
   deindex_entry(*it->second);
-  it->second->predicate = std::move(pred).value();
-  for (StabilityTypeId t : it->second->predicate.referenced_types())
+  it->second->predicate = std::move(predicate);
+  for (StabilityTypeId t : it->second->predicate->referenced_types())
     acks_.ensure_type(t);
   index_entry(*it->second);
   // Recompute across the swap; the frontier may regress (predicate gap).
@@ -158,7 +177,7 @@ std::vector<std::string> FrontierEngine::predicate_keys() const {
 
 const dsl::Predicate* FrontierEngine::predicate(const std::string& key) const {
   auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second->predicate;
+  return it == entries_.end() ? nullptr : it->second->predicate.get();
 }
 
 SeqNum FrontierEngine::frontier(const std::string& key) const {
@@ -197,8 +216,8 @@ void FrontierEngine::dispatch_cell(StabilityTypeId type, NodeId node,
   if (dispatch_ == DispatchMode::kLegacyScan) {
     for (auto& [key, entry] : entries_) {
       // Skip predicates that cannot be affected by this cell.
-      if (!entry->predicate.references_type(type) ||
-          !entry->predicate.references_node(node)) {
+      if (!entry->predicate->references_type(type) ||
+          !entry->predicate->references_node(node)) {
         ++evals_skipped_index_;
         continue;
       }
@@ -215,7 +234,8 @@ void FrontierEngine::dispatch_cell(StabilityTypeId type, NodeId node,
   // predicate on a new type).
   for (size_t i = 0; i < bucket_size(c); ++i) {
     Entry* e = index_[c][i];
-    if (e->predicate.eval_skippable(old_value, seq, e->frontier)) {
+    if (!e->predicate->must_eval(type, node, old_value, seq, e->frontier,
+                                 e->crossings)) {
       ++evals_skipped_binding_;
       continue;
     }
@@ -241,13 +261,14 @@ size_t FrontierEngine::on_ack_batch(std::span<const AckUpdate> updates) {
     return advanced;
   }
 
-  // Phase 1: max-merge the whole batch, collecting the deduplicated set of
-  // affected entries. `stamp` is captured locally so that re-entrant
-  // batches (a monitor calling send/report_stability) cannot corrupt this
-  // invocation's dedup marks — a re-entrant touch merely causes one extra
-  // idempotent eval. `dirty` is this nesting depth's scratch, so a nested
-  // batch collects into a buffer of its own. No callback runs in phase 1, so
-  // holding a bucket reference across its inner loop is safe.
+  // Phase 1: max-merge the whole batch, counting every crossing and
+  // collecting the deduplicated set of entries whose frontier can move.
+  // `stamp` is captured locally so that re-entrant batches (a monitor
+  // calling send/report_stability) cannot corrupt this invocation's dedup
+  // marks — a re-entrant touch merely causes one extra idempotent eval.
+  // `dirty` is this nesting depth's scratch, so a nested batch collects
+  // into a buffer of its own. No callback runs in phase 1, so holding a
+  // bucket reference across its inner loop is safe.
   const uint64_t stamp = ++batch_stamp_;
   auto dirty_lease = dirty_scratch_.acquire();
   std::vector<Entry*>& dirty = *dirty_lease;
@@ -263,19 +284,20 @@ size_t FrontierEngine::on_ack_batch(std::span<const AckUpdate> updates) {
     evals_skipped_index_ += entries_.size() - affected;
     if (affected == 0) continue;
     for (Entry* e : index_[c]) {
-      // Binding-cell skip relative to the pre-batch frontier: sound because
-      // each skippable update individually leaves the frontier fixed, so by
-      // induction the whole batch does too (unless some other update dirties
-      // the entry, in which case the final eval sees the full table anyway).
-      if (e->predicate.eval_skippable(old_value, u.seq, e->frontier)) {
+      // Crossing rule against the pre-batch frontier. Counting goes on after
+      // the entry turns dirty, so its counts stay exact until phase 2
+      // re-binds them; only the reports that crossed the frontier, from the
+      // one that made the frontier movable on, route their extra.
+      if (!e->predicate->must_eval(u.type, u.node, old_value, u.seq,
+                                   e->frontier, e->crossings)) {
         ++evals_skipped_binding_;
         continue;
       }
       if (e->batch_stamp == stamp) {
         ++evals_skipped_index_;  // coalesced into this batch's one eval
-        // Highest-sequence advancing report's extra wins: that report is the
-        // one that determined the coalesced frontier, matching the extra the
-        // legacy per-report path would have fired last.
+        // The highest-sequence crossing report's extra wins: that report
+        // decides a MAX frontier, matching the extra the legacy per-report
+        // path fires last.
         if (u.seq > e->pending_extra_seq) {
           e->pending_extra = u.extra;
           e->pending_extra_seq = u.seq;
@@ -301,9 +323,11 @@ size_t FrontierEngine::on_ack_batch(std::span<const AckUpdate> updates) {
   return advanced;
 }
 
-void FrontierEngine::reevaluate_all() {
-  for (auto& [key, entry] : entries_)
-    reevaluate(*entry, {}, /*allow_regress=*/false);
+void FrontierEngine::set_dispatch_mode(DispatchMode mode) {
+  if (mode == DispatchMode::kIndexed && dispatch_ != mode)
+    for (auto& [key, entry] : entries_)
+      entry->predicate->bind(acks_, entry->frontier, entry->crossings);
+  dispatch_ = mode;
 }
 
 void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
@@ -316,18 +340,24 @@ void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
   // real latencies require a RealtimeEnv run; see docs/OBSERVABILITY.md).
   if (obs_.eval_ns != nullptr && obs_.now && (predicate_evals_ & 0xF) == 0) {
     TimePoint t0 = obs_.now();
-    next = entry.predicate.eval(acks_);
+    next = entry.predicate->eval(acks_);
     obs_.eval_ns->record(static_cast<uint64_t>((obs_.now() - t0).count()));
   } else {
-    next = entry.predicate.eval(acks_);
+    next = entry.predicate->eval(acks_);
   }
 #else
-  SeqNum next = entry.predicate.eval(acks_);
+  SeqNum next = entry.predicate->eval(acks_);
 #endif
-  if (next == entry.frontier) return;
-  if (next < entry.frontier && !allow_regress) return;  // monotonic guard
   [[maybe_unused]] const SeqNum prev_frontier = entry.frontier;
-  entry.frontier = next;
+  // Monotonic guard: only a predicate swap may move the frontier back.
+  const bool moved =
+      next > entry.frontier || (next < entry.frontier && allow_regress);
+  if (moved) entry.frontier = next;
+  // Re-bind before any callback runs: a callback may re-enter and dispatch
+  // advances against the frontier just set.
+  if (dispatch_ == DispatchMode::kIndexed)
+    entry.predicate->bind(acks_, entry.frontier, entry.crossings);
+  if (!moved) return;
   // Publish to the wait-free board before user callbacks run, so a reader
   // woken by a monitor observes a frontier at least as new as the wake.
   if (entry.board_slot != nullptr)

@@ -14,17 +14,22 @@
 // the batch is max-merged into the AckTable first, the affected entries are
 // collected (deduplicated) into engine-owned scratch, and each predicate
 // re-evaluates exactly once per batch — monotonicity makes the coalescing
-// lossless (§III-A). Specialized predicates additionally skip provably no-op
-// evaluations via their cached binding bound (Predicate::eval_skippable).
-// Past warm-up, applying a batch allocates nothing and hashes nothing.
+// lossless (§III-A). Specialized predicates evaluate only when the frontier
+// can move: each entry counts the items of its order statistic above its
+// cached frontier, and an advance that does not cross the frontier, or that
+// leaves fewer items above it than the statistic's rank, skips the eval
+// (Predicate::must_eval, the crossing rule of DESIGN.md §4c). Past warm-up,
+// applying a batch allocates nothing and hashes nothing.
 // set_dispatch_mode(kLegacyScan) restores the original
 // scan-everything/eval-per-report behaviour for differential tests and the
 // bench_control_hotpath baseline.
 //
 // The engine is synchronous and single-threaded by design: callers (the
 // Stabilizer core, tests) drive it from their Env thread, which is what
-// makes whole-cluster simulation deterministic. Monitor/waiter callbacks
-// may re-enter the engine (register_predicate, on_ack, waitfor, ...);
+// makes whole-cluster simulation deterministic. The AckTable changes only
+// through on_ack / on_ack_batch, because dispatch keeps the crossing counts
+// current; acks() hands out a read-only view. Monitor/waiter callbacks may
+// re-enter the engine (register_predicate, on_ack, waitfor, ...);
 // remove_predicate from inside a callback is not supported.
 #pragma once
 
@@ -61,17 +66,17 @@ class FrontierEngine {
  public:
   /// Monitor callback: new frontier plus the uninterpreted extra bytes the
   /// triggering stability report carried (empty for plain ACKs). When a
-  /// batch coalesces several advancing reports for one predicate, monitors
-  /// fire once with the final frontier and the extra of the highest-sequence
-  /// advancing report — the one that determined the coalesced frontier, which
-  /// is the extra the legacy per-report path would have fired last.
+  /// batch coalesces several reports for one predicate, monitors fire once
+  /// with the final frontier and the extra of the highest-sequence report
+  /// among those that crossed the pre-batch frontier (DESIGN.md §4c says
+  /// when that is the extra the legacy per-report path fires last).
   using MonitorFn = std::function<void(SeqNum frontier, BytesView extra)>;
   using WaiterFn = std::function<void(SeqNum frontier)>;
 
   /// Dispatch strategy for incoming stability reports.
   enum class DispatchMode {
     kLegacyScan,  // seed behaviour: scan all entries, eval per report
-    kIndexed,     // reverse-index dispatch + batch dedup + binding skip
+    kIndexed,     // reverse-index dispatch + batch dedup + crossing rule
   };
 
   FrontierEngine(const Topology& topology, NodeId self,
@@ -79,10 +84,20 @@ class FrontierEngine {
                  dsl::EvalMode mode = dsl::EvalMode::kSpecialized);
 
   // --- predicate management (paper: register_predicate / change_predicate) --
+  using PredicatePtr = std::shared_ptr<const dsl::Predicate>;
+
+  /// Compiles `source` for this engine's topology, node, type registry and
+  /// eval mode. Unknown stability-type suffixes are auto-registered (they
+  /// become reportable levels). Every engine that shares those four may
+  /// register the result: a compiled predicate holds no per-engine state.
+  Result<PredicatePtr> compile(const std::string& source);
+
   /// Compiles and registers a new predicate. Fails if the key exists or the
-  /// source does not compile. Unknown stability-type suffixes are
-  /// auto-registered (they become reportable levels).
+  /// source does not compile.
   Status register_predicate(const std::string& key, const std::string& source);
+  /// Registers a predicate compile() made, here or on an engine sharing
+  /// this one's context. Fails if the key exists.
+  Status register_predicate(const std::string& key, PredicatePtr predicate);
 
   /// Replaces an existing predicate (dynamic reconfiguration, §VI-D). The
   /// frontier is recomputed immediately; it may move backward across the
@@ -90,6 +105,7 @@ class FrontierEngine {
   /// which case monitors fire with the new (lower) value but waiters are
   /// only woken by coverage.
   Status change_predicate(const std::string& key, const std::string& source);
+  Status change_predicate(const std::string& key, PredicatePtr predicate);
 
   /// Unregisters a predicate. Pending waiters are failed explicitly: each
   /// is invoked once with kNoSeq (never a covering frontier), so
@@ -138,13 +154,11 @@ class FrontierEngine {
   /// O(predicates x updates).
   size_t on_ack_batch(std::span<const AckUpdate> updates);
 
-  /// Re-evaluate every predicate (used after bulk table mutation/recovery).
-  void reevaluate_all();
-
   DispatchMode dispatch_mode() const { return dispatch_; }
-  void set_dispatch_mode(DispatchMode mode) { dispatch_ = mode; }
+  /// Switching to kIndexed re-binds every entry's crossing counts, which
+  /// the legacy scan does not keep.
+  void set_dispatch_mode(DispatchMode mode);
 
-  AckTable& acks() { return acks_; }
   const AckTable& acks() const { return acks_; }
   StabilityTypeRegistry& types() { return types_; }
   NodeId self() const { return self_; }
@@ -179,8 +193,9 @@ class FrontierEngine {
   /// Evals avoided by dispatch: predicates not referencing an advanced cell
   /// (reverse index / legacy reference check) plus batch deduplication.
   uint64_t evals_skipped_index() const { return evals_skipped_index_; }
-  /// Evals avoided by the specialized binding-cell bound (lossless: the
-  /// skipped eval provably could not have moved the frontier).
+  /// Evals avoided by the crossing rule: dispatched advances that provably
+  /// could not move the frontier, because they did not cross it or left
+  /// fewer items above it than the order statistic's rank (lossless).
   uint64_t evals_skipped_binding() const { return evals_skipped_binding_; }
   /// Back-compat alias for predicate_evals().
   uint64_t evaluations() const { return predicate_evals_; }
@@ -191,8 +206,11 @@ class FrontierEngine {
     WaiterFn fn;
   };
   struct Entry {
-    dsl::Predicate predicate;
+    PredicatePtr predicate;  // shared by the node's engines
     SeqNum frontier = kNoSeq;
+    // The crossing rule's counts against `frontier`; kept in kIndexed
+    // dispatch, re-bound after every eval.
+    dsl::Crossings crossings;
     // Each behind its own pointer: a monitor may add monitors on its own
     // key while it runs, and growing the vector must not move the one
     // being called.
@@ -219,7 +237,6 @@ class FrontierEngine {
     return cell < index_.size() ? index_[cell].size() : 0;
   }
 
-  Result<dsl::Predicate> compile(const std::string& source);
   void reevaluate(Entry& entry, BytesView extra, bool allow_regress);
   /// Adds `entry` to the reverse index under every (type, node) cell its
   /// predicate references (the same cross product the legacy reference

@@ -798,11 +798,19 @@ Status Stabilizer::restore_control_state(BytesView snapshot) {
 
 // --- control plane API -----------------------------------------------------------
 
+// The origin engines share the topology, the node, the type registry and
+// the eval mode, so one compile serves them all. A key that is already
+// taken (or, for a change, missing) fails before anything compiles, so a
+// refused call registers no stability type.
 Status Stabilizer::register_predicate(const std::string& key,
                                       const std::string& source) {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
+  FrontierEngine& first = *engines_[options_.self];
+  if (first.has_predicate(key)) return first.register_predicate(key, source);
+  auto pred = first.compile(source);
+  if (!pred.is_ok()) return Status::error(pred.message());
   for (auto& engine : engines_) {
-    Status st = engine->register_predicate(key, source);
+    Status st = engine->register_predicate(key, pred.value());
     if (!st.is_ok()) return st;  // identical context: fails on the first
   }
   backfill_origin_rule();
@@ -812,8 +820,12 @@ Status Stabilizer::register_predicate(const std::string& key,
 Status Stabilizer::change_predicate(const std::string& key,
                                     const std::string& source) {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
+  FrontierEngine& first = *engines_[options_.self];
+  if (!first.has_predicate(key)) return first.change_predicate(key, source);
+  auto pred = first.compile(source);
+  if (!pred.is_ok()) return Status::error(pred.message());
   for (auto& engine : engines_) {
-    Status st = engine->change_predicate(key, source);
+    Status st = engine->change_predicate(key, pred.value());
     if (!st.is_ok()) return st;
   }
   backfill_origin_rule();

@@ -90,8 +90,11 @@ class Analyzer {
     return resolve_set(*std::get<std::unique_ptr<SetExpr>>(term.node));
   }
 
+  // Lists are sets: the control plane's crossing counts take each listed
+  // node for one item (Program::bind).
   uint32_t intern_list(std::vector<NodeId> list) {
     std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
     for (uint32_t i = 0; i < lists_.size(); ++i)
       if (lists_[i] == list) return i;
     lists_.push_back(std::move(list));

@@ -39,12 +39,6 @@ int64_t Predicate::eval(const AckSource& acks) const {
   return kNoSeq;
 }
 
-bool Predicate::eval_skippable(int64_t old_value, int64_t new_value,
-                               int64_t frontier) const {
-  if (mode_ != EvalMode::kSpecialized) return false;
-  return program_.update_cannot_raise(old_value, new_value, frontier);
-}
-
 bool Predicate::references_node(NodeId node) const {
   const auto& nodes = resolved_.referenced_nodes;
   return std::binary_search(nodes.begin(), nodes.end(), node);

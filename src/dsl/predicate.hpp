@@ -38,15 +38,25 @@ class Predicate {
   /// Evaluate the stability frontier against a control-plane snapshot.
   int64_t eval(const AckSource& acks) const;
 
-  /// Eval-avoidance hook (control-plane hot path): true when a monotonic
-  /// advance of one referenced ack cell from `old_value` to `new_value`
-  /// provably cannot move the frontier away from `frontier` (the cached
-  /// result of the last eval against the pre-update table), so eval() may
-  /// be skipped. Only answers true on the specialized execution path;
-  /// interpreter/bytecode modes always re-evaluate, keeping the ablation
-  /// comparison honest. See Program::update_cannot_raise for the proof.
-  bool eval_skippable(int64_t old_value, int64_t new_value,
-                      int64_t frontier) const;
+  /// The crossing rule (control-plane hot path; proof and exactness at
+  /// Program::bind). `c` is the caller's state for one cached frontier:
+  /// bind() re-derives it against `frontier`, the result of the last eval()
+  /// over `acks`. Only the specialized path counts; the other modes keep
+  /// evaluating on every advance, keeping the ablation comparison honest.
+  void bind(const AckSource& acks, int64_t frontier, Crossings& c) const {
+    if (mode_ == EvalMode::kSpecialized) program_.bind(acks, frontier, c);
+  }
+  /// True when eval() must run after cell (type, node), one this predicate
+  /// reads, advanced from `old_value` to `new_value` while `c` was bound to
+  /// `frontier`. An advance that does not cross the frontier is answered in
+  /// O(1); a crossing is counted in `c`, and eval() is due once enough
+  /// items sit above the frontier to move it.
+  bool must_eval(StabilityTypeId type, NodeId node, int64_t old_value,
+                 int64_t new_value, int64_t frontier, Crossings& c) const {
+    if (mode_ != EvalMode::kSpecialized) return true;
+    if (new_value <= frontier || old_value > frontier) return false;
+    return program_.cross(type, node, c);
+  }
 
   const std::string& source() const { return source_; }
   EvalMode mode() const { return mode_; }

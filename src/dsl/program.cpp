@@ -180,6 +180,7 @@ Program Program::compile(const Resolved& resolved) {
       // For kSingle the inner op is irrelevant (we reduce/select directly on
       // the gathered row); store the list/type only.
       p.fast_.inner[0].op = root.op;
+      p.compile_count();
       return p;
     }
   }
@@ -208,23 +209,104 @@ Program Program::compile(const Resolved& resolved) {
     if (kth) p.fast_.k = std::get<RConst>(root.args[0]->node).value;
     p.fast_.inner = std::move(inner);
   }
+  p.compile_count();
   return p;
 }
 
-bool Program::update_cannot_raise(int64_t old_value, int64_t new_value,
-                                  int64_t frontier) const {
-  if (fast_.kind == FastKind::kNone) return false;
-  // Bound rule: a cell that stays at or below the cached frontier cannot
-  // move any MIN/MAX/KTH_* composition away from it.
-  if (new_value <= frontier) return true;
-  // Binding rule: for a single-gather MIN / KTH_MIN, a cell strictly above
-  // the current order statistic is not binding, and raising it keeps it
-  // non-binding.
-  if (fast_.kind == FastKind::kSingle &&
-      (fast_.op == Op::kMin || fast_.op == Op::kKthMin) &&
-      old_value > frontier)
-    return true;
-  return false;
+// --- crossing rule --------------------------------------------------------------
+
+void Program::compile_count() {
+  count_ = Count{};
+  // Rank of the order statistic over n items (see bind()); kNever when the
+  // result is kNoSeq whatever the cells hold.
+  auto rank_of = [](Op op, int64_t k, size_t n) -> uint32_t {
+    const auto items = static_cast<int64_t>(n);
+    if (n == 0) return kNever;
+    switch (op) {
+      case Op::kMax:
+        return 1;
+      case Op::kMin:
+        return static_cast<uint32_t>(n);
+      case Op::kKthMax:
+        return k >= 1 && k <= items ? static_cast<uint32_t>(k) : kNever;
+      case Op::kKthMin:
+        return k >= 1 && k <= items ? static_cast<uint32_t>(items - k + 1)
+                                    : kNever;
+    }
+    return kNever;
+  };
+  switch (fast_.kind) {
+    case FastKind::kNone:
+      return;
+    case FastKind::kSingle: {
+      const std::vector<NodeId>& list = lists_[fast_.inner[0].list];
+      count_.kind = CountKind::kCells;
+      count_.rank = rank_of(fast_.op, fast_.k, list.size());
+      return;
+    }
+    case FastKind::kOfReduced: {
+      if (fast_.inner.size() > 64) return;  // one mask bit per group
+      StabilityTypeId max_type = 0;
+      NodeId max_node = 0;
+      for (const FastInner& in : fast_.inner) {
+        max_type = std::max(max_type, in.type);
+        for (NodeId n : lists_[in.list]) max_node = std::max(max_node, n);
+      }
+      count_.type_row.assign(static_cast<size_t>(max_type) + 1, kNoRow);
+      uint8_t rows = 0;
+      for (const FastInner& in : fast_.inner)
+        if (count_.type_row[in.type] == kNoRow) count_.type_row[in.type] = rows++;
+      count_.stride = static_cast<size_t>(max_node) + 1;
+      count_.masks.assign(rows * count_.stride, 0);
+      for (size_t g = 0; g < fast_.inner.size(); ++g) {
+        const FastInner& in = fast_.inner[g];
+        const std::vector<NodeId>& list = lists_[in.list];
+        // A MAX group is above f at one member, a MIN group at all of
+        // them; an empty group reads kNoSeq and never is.
+        uint32_t need = kNever;
+        if (!list.empty())
+          need = in.op == Op::kMax ? 1 : static_cast<uint32_t>(list.size());
+        count_.need.push_back(need);
+        for (NodeId n : list)
+          count_.masks[count_.type_row[in.type] * count_.stride + n] |=
+              uint64_t{1} << g;
+      }
+      count_.kind = CountKind::kGroups;
+      count_.rank = rank_of(fast_.op, fast_.k, fast_.inner.size());
+      return;
+    }
+  }
+}
+
+uint32_t Program::count_above(const AckSource& acks,
+                              const std::vector<NodeId>& list,
+                              StabilityTypeId type, int64_t frontier) {
+  std::span<const int64_t> row = acks.row(type);
+  uint32_t above = 0;
+  for (NodeId n : list) above += (n < row.size() ? row[n] : kNoSeq) > frontier;
+  return above;
+}
+
+void Program::bind(const AckSource& acks, int64_t frontier,
+                   Crossings& c) const {
+  c.above = 0;
+  switch (count_.kind) {
+    case CountKind::kAny:
+      return;
+    case CountKind::kCells: {
+      const FastInner& in = fast_.inner[0];
+      c.above = count_above(acks, lists_[in.list], in.type, frontier);
+      return;
+    }
+    case CountKind::kGroups:
+      c.members.resize(fast_.inner.size());
+      for (size_t g = 0; g < fast_.inner.size(); ++g) {
+        const FastInner& in = fast_.inner[g];
+        c.members[g] = count_above(acks, lists_[in.list], in.type, frontier);
+        if (c.members[g] >= count_.need[g]) ++c.above;
+      }
+      return;
+  }
 }
 
 // --- bytecode VM --------------------------------------------------------------

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -443,6 +445,56 @@ TEST_F(FrontierTest, BatchCoalescedExtraIsLastAdvancing) {
   EXPECT_EQ(fired[0], (std::pair<SeqNum, std::string>{9, "two"}));
 }
 
+TEST_F(FrontierTest, BatchRoutesOnlyExtrasThatCrossTheFrontier) {
+  // KTH_MAX(2) over nodes 1..7 sits at 5: node 1 at 10, nodes 2-6 at 5.
+  // Node 1's report below does not cross the frontier (its cell was above
+  // it already); node 2's does and moves the frontier to 7. The per-report
+  // legacy path fires (7, "B"), so the batch must fire that too, although
+  // node 1's report carries the higher sequence number.
+  auto run = [&](FrontierEngine::DispatchMode mode) {
+    StabilityTypeRegistry types;
+    FrontierEngine e(topo_, 0, types);
+    e.set_dispatch_mode(mode);
+    EXPECT_TRUE(
+        e.register_predicate("maj", "KTH_MAX(2,($ALLWNODES-$MYWNODE))"));
+    e.on_ack(0, 1, 10);
+    for (NodeId n = 2; n <= 6; ++n) e.on_ack(0, n, 5);
+    EXPECT_EQ(e.frontier("maj"), 5);
+    std::vector<std::pair<SeqNum, std::string>> fired;
+    e.monitor("maj", [&](SeqNum f, BytesView x) {
+      fired.emplace_back(f, to_string(x));
+    });
+    Bytes xa = to_bytes("A"), xb = to_bytes("B");
+    std::vector<AckUpdate> batch{AckUpdate{0, 1, 20, BytesView(xa)},
+                                 AckUpdate{0, 2, 7, BytesView(xb)}};
+    e.on_ack_batch(batch);
+    return fired;
+  };
+  auto legacy = run(FrontierEngine::DispatchMode::kLegacyScan);
+  auto indexed = run(FrontierEngine::DispatchMode::kIndexed);
+  ASSERT_EQ(legacy,
+            (std::vector<std::pair<SeqNum, std::string>>{{7, "B"}}));
+  EXPECT_EQ(indexed, legacy);
+}
+
+TEST_F(FrontierTest, TiedMinEvaluatesOncePerFrontierMove) {
+  // Every cell tied at the frontier, then raised one report at a time: only
+  // the last cell of each round moves the MIN, and only it evaluates.
+  ASSERT_TRUE(engine_.register_predicate("all", "MIN($ALLWNODES-$MYWNODE)"));
+  for (NodeId n = 1; n < 8; ++n) engine_.on_ack(0, n, 0);
+  ASSERT_EQ(engine_.frontier("all"), 0);
+  uint64_t moves = 0;
+  engine_.monitor("all", [&](SeqNum, BytesView) { ++moves; });
+  const uint64_t evals0 = engine_.predicate_evals();
+  const uint64_t skips0 = engine_.evals_skipped_binding();
+  for (SeqNum round = 1; round <= 5; ++round)
+    for (NodeId n = 1; n < 8; ++n) EXPECT_TRUE(engine_.on_ack(0, n, round));
+  EXPECT_EQ(engine_.frontier("all"), 5);
+  EXPECT_EQ(moves, 5u);
+  EXPECT_EQ(engine_.predicate_evals() - evals0, moves);
+  EXPECT_EQ(engine_.evals_skipped_binding() - skips0, 5u * 6u);
+}
+
 // All three eval modes x both dispatch paths compute identical frontiers on
 // random monotone batch streams.
 TEST(FrontierProperty, EvalModesAndDispatchPathsAgree) {
@@ -454,6 +506,9 @@ TEST(FrontierProperty, EvalModesAndDispatchPathsAgree) {
       "KTH_MIN(2,($ALLWNODES-$MYWNODE))",
       "KTH_MAX(2,MAX($AZ_North_Virginia),MAX($AZ_Oregon),MAX($AZ_Ohio))",
       "MIN(($ALLWNODES-$MYWNODE).persisted)",
+      // Not a specialized shape: the crossing rule evaluates on every
+      // crossing, counting nothing.
+      "MAX(MIN($AZ_North_Virginia),KTH_MIN(2,$ALLWNODES.persisted))",
   };
   struct Variant {
     dsl::EvalMode eval;
@@ -539,6 +594,190 @@ TEST(FrontierProperty, IncrementalMatchesFromScratch) {
         // from-scratch check via a fresh eval of the same predicate
         ASSERT_EQ(f, engine.predicate(key)->eval(engine.acks())) << key;
       }
+    }
+  }
+}
+
+// The order-statistic shapes the crossing counts cover, in the corners
+// where counting is easy to get wrong.
+const char* const kCountedShapes[] = {
+    "MIN($ALLWNODES-$MYWNODE)",
+    "MAX($ALLWNODES-$MYWNODE)",
+    "KTH_MAX(SIZEOF($ALLWNODES)/2+1,($ALLWNODES-$MYWNODE))",
+    "KTH_MIN(3,$ALLWNODES.persisted)",
+    // KTH_MIN over MIN groups.
+    "KTH_MIN(2,MIN($AZ_North_California),MIN($AZ_North_Virginia),"
+    "MIN($AZ_Oregon),MIN($AZ_Ohio))",
+    // Overlapping inner lists: one cell feeds several groups.
+    "MIN(MAX($ALLWNODES-$MYWNODE),MIN($AZ_North_Virginia),"
+    "MAX($AZ_North_Virginia-$3))",
+    "KTH_MAX(2,MIN($ALLWNODES),MAX($AZ_North_Virginia),"
+    "MIN($AZ_North_Virginia),MAX($ALLWNODES-$AZ_Oregon))",
+    // k out of range: the frontier never leaves kNoSeq.
+    "KTH_MAX(9,$ALLWNODES)",
+    "KTH_MIN(0,$ALLWNODES)",
+    "KTH_MAX(5,MAX($AZ_Oregon),MAX($AZ_Ohio))",
+    // Two stability types in one predicate.
+    "MIN(MAX($AZ_North_Virginia.persisted),MIN($AZ_North_Virginia),"
+    "MAX($AZ_Oregon.persisted),MAX($AZ_Ohio))",
+    "KTH_MAX(2,MIN($ALLWNODES-$MYWNODE),MIN(($ALLWNODES-$MYWNODE).persisted),"
+    "MAX($AZ_Ohio.persisted))",
+};
+
+/// A lockstep report stream over the 8-node EC2 topology: in each round
+/// every received cell climbs one step of a common grid (seq = level * step
+/// - 1, so level 0 is kNoSeq) in random order, and every persisted cell
+/// does so in even rounds only, so the two types drift apart. Ties at the
+/// frontier are the norm.
+std::vector<AckUpdate> lockstep_stream(Rng& rng, int rounds) {
+  constexpr int64_t kStep = 3;
+  std::vector<std::vector<int64_t>> level(2, std::vector<int64_t>(8, 0));
+  std::vector<AckUpdate> out;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<std::pair<StabilityTypeId, NodeId>> cells;
+    for (StabilityTypeId t = 0; t < 2; ++t) {
+      if (t == StabilityTypeRegistry::kPersisted && round % 2 == 1) continue;
+      for (NodeId n = 0; n < 8; ++n) cells.emplace_back(t, n);
+    }
+    for (size_t i = cells.size(); i > 1; --i)
+      std::swap(cells[i - 1], cells[rng.next_below(i)]);
+    for (auto [t, n] : cells)
+      out.push_back(AckUpdate{t, n, ++level[t][n] * kStep - 1, {}});
+  }
+  return out;
+}
+
+// Lockstep streams cut into batches that raise each cell at most once, as
+// one ACKBATCH frame does. Every item of an order statistic then climbs at
+// most one grid step per batch, so a frontier does too, and the legacy
+// per-report path fires at most once per batch: at the report that made
+// enough items cross. Checked after every batch: each frontier equals a
+// from-scratch interpreter eval, and the batch path and the single-report
+// path fire exactly the (frontier, extra) sequences of the kLegacyScan run,
+// with an extra of its own on every report. The indexed runs evaluate only
+// when a frontier moves.
+TEST(FrontierProperty, LockstepTiesMatchLegacyAndInterpreter) {
+  Topology topo = ec2_topology();
+  using Fired = std::vector<std::pair<SeqNum, std::string>>;
+  for (uint64_t seed : {5u, 6u, 7u}) {
+    StabilityTypeRegistry types;
+    // Interpreter-mode predicates over the same type ids, evaluated from
+    // scratch against the batch run's table.
+    FrontierEngine scratch(topo, 0, types, dsl::EvalMode::kInterpreter);
+    FrontierEngine legacy(topo, 0, types), batched(topo, 0, types),
+        single(topo, 0, types);
+    legacy.set_dispatch_mode(FrontierEngine::DispatchMode::kLegacyScan);
+    std::vector<std::string> keys;
+    std::map<std::string, Fired> fired_legacy, fired_batched, fired_single;
+    for (size_t i = 0; i < std::size(kCountedShapes); ++i) {
+      keys.push_back("p" + std::to_string(i));
+      const std::string& key = keys.back();
+      for (auto* e : {&scratch, &legacy, &batched, &single})
+        ASSERT_TRUE(e->register_predicate(key, kCountedShapes[i])) << key;
+      auto record = [](Fired& log) {
+        return [&log](SeqNum f, BytesView x) {
+          log.emplace_back(f, to_string(x));
+        };
+      };
+      legacy.monitor(key, record(fired_legacy[key]));
+      batched.monitor(key, record(fired_batched[key]));
+      single.monitor(key, record(fired_single[key]));
+    }
+    const uint64_t batched_evals0 = batched.predicate_evals();
+    const uint64_t single_evals0 = single.predicate_evals();
+
+    Rng rng(seed);
+    const std::vector<AckUpdate> stream = lockstep_stream(rng, 40);
+    std::vector<Bytes> extras;
+    for (const AckUpdate& u : stream)
+      extras.push_back(to_bytes("n" + std::to_string(u.node) + "t" +
+                                std::to_string(u.type) + "=" +
+                                std::to_string(u.seq)));
+    size_t next = 0;
+    std::vector<AckUpdate> batch;
+    while (next < stream.size()) {
+      batch.clear();
+      const size_t limit = 1 + rng.next_below(12);
+      while (next < stream.size() && batch.size() < limit) {
+        const AckUpdate& u = stream[next];
+        bool repeat = false;
+        for (const AckUpdate& b : batch)
+          repeat |= b.type == u.type && b.node == u.node;
+        if (repeat) break;
+        batch.push_back(u);
+        batch.back().extra = BytesView(extras[next++]);
+      }
+      legacy.on_ack_batch(batch);
+      batched.on_ack_batch(batch);
+      for (const AckUpdate& u : batch)
+        single.on_ack(u.type, u.node, u.seq, u.extra);
+      for (const std::string& key : keys) {
+        const SeqNum expected = scratch.predicate(key)->eval(batched.acks());
+        ASSERT_EQ(batched.frontier(key), expected) << key << " seed " << seed;
+        ASSERT_EQ(single.frontier(key), expected) << key << " seed " << seed;
+        ASSERT_EQ(legacy.frontier(key), expected) << key << " seed " << seed;
+      }
+    }
+    uint64_t moves = 0;
+    for (const std::string& key : keys) {
+      EXPECT_EQ(fired_batched[key], fired_legacy[key]) << key;
+      EXPECT_EQ(fired_single[key], fired_legacy[key]) << key;
+      moves += fired_legacy[key].size();
+    }
+    EXPECT_GT(moves, 0u);
+    EXPECT_EQ(batched.predicate_evals() - batched_evals0, moves);
+    EXPECT_EQ(single.predicate_evals() - single_evals0, moves);
+  }
+}
+
+// Monitors that re-enter the engine run nested batches while the outer
+// batch still holds dirty entries, whose counts are relative to a frontier
+// about to move. Counts may then run ahead of the table, never behind it,
+// so a nested batch may evaluate an entry early but never misses an
+// advance: after every outer call each frontier equals a from-scratch
+// evaluation.
+TEST(FrontierProperty, ReentrantBatchesNeverMissAnAdvance) {
+  Topology topo = ec2_topology();
+  for (uint64_t seed : {8u, 9u, 10u}) {
+    StabilityTypeRegistry types;
+    FrontierEngine scratch(topo, 0, types, dsl::EvalMode::kInterpreter);
+    FrontierEngine engine(topo, 0, types);
+    std::vector<std::string> keys;
+    for (size_t i = 0; i < std::size(kCountedShapes); ++i) {
+      keys.push_back("p" + std::to_string(i));
+      ASSERT_TRUE(scratch.register_predicate(keys.back(), kCountedShapes[i]));
+      ASSERT_TRUE(engine.register_predicate(keys.back(), kCountedShapes[i]));
+    }
+    Rng rng(seed);
+    const std::vector<AckUpdate> stream = lockstep_stream(rng, 40);
+    size_t next = 0;
+    // Takes up to `n` reports off the stream, in order, so every cell still
+    // only climbs.
+    auto take = [&](size_t n) {
+      const size_t end = std::min(stream.size(), next + n);
+      std::span<const AckUpdate> out(stream.data() + next, end - next);
+      next = end;
+      return out;
+    };
+    std::map<std::string, SeqNum> last;
+    for (size_t i = 0; i < keys.size(); i += 2)
+      ASSERT_TRUE(engine.monitor(keys[i], [&, i](SeqNum f, BytesView) {
+        // Monotone under nesting too.
+        EXPECT_GE(f, last[keys[i]]) << keys[i];
+        last[keys[i]] = f;
+        if (rng.next_below(2) == 0) {
+          engine.on_ack_batch(take(1 + rng.next_below(4)));
+        } else {
+          for (const AckUpdate& u : take(1 + rng.next_below(3)))
+            engine.on_ack(u.type, u.node, u.seq);
+        }
+      }));
+    while (next < stream.size()) {
+      engine.on_ack_batch(take(1 + rng.next_below(12)));
+      for (const std::string& key : keys)
+        ASSERT_EQ(engine.frontier(key),
+                  scratch.predicate(key)->eval(engine.acks()))
+            << key << " seed " << seed;
     }
   }
 }
