@@ -98,10 +98,9 @@ void ack_interval_sweep() {
     }
     cluster.sim.run();
     uint64_t batches = 0;
-    for (auto& node : cluster.nodes) {
-      const StabilizerStats s = node->stats();
-      batches += s.ack_batches_sent + s.report_batches_sent;
-    }
+    for (auto& node : cluster.nodes)
+      batches += counter(*node, "control.ack_batches_sent") +
+                 counter(*node, "control.report_batches_sent");
     std::printf("%11lld us %22.2f %18llu\n", static_cast<long long>(us),
                 stability_ms.mean(), static_cast<unsigned long long>(batches));
   }

@@ -5,8 +5,11 @@
 // rows to stdout; EXPERIMENTS.md records paper-vs-measured.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -33,6 +36,18 @@ struct StabCluster {
   std::unique_ptr<SimCluster> cluster;
   std::vector<std::unique_ptr<Stabilizer>> nodes;
 };
+
+/// `node`'s counter `name` (docs/OBSERVABILITY.md). Exits the bench on a
+/// name the node's registry does not hold, so a misspelt name cannot read 0.
+inline uint64_t counter(const Stabilizer& node, std::string_view name) {
+  const obs::Counter* c = node.metrics().find_counter(name);
+  if (c == nullptr) {
+    std::fprintf(stderr, "no counter named %.*s\n",
+                 static_cast<int>(name.size()), name.data());
+    std::exit(1);
+  }
+  return c->value();
+}
 
 inline void print_header(const char* experiment, const char* paper_ref) {
   std::printf("==============================================================\n");

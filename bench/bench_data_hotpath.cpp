@@ -8,7 +8,7 @@
 //                Transport::send_shared (the default data path),
 //   * coalesce — shared + coalesce_max_frames=16: consecutive small DATA
 //                frames ride one kDataBatch per peer flush.
-// Wall-clock throughput plus the data-plane StabilizerStats counters are
+// Wall-clock throughput plus the sender's data-plane counters are
 // printed per (cluster, payload) cell and written to BENCH_data_hotpath.json
 // (EXPERIMENTS.md "Data-plane hot path"). Acceptance: >= 1.5x broadcast
 // throughput at 64 B / 5 nodes, coalesce vs shared (full mode only;
@@ -50,7 +50,11 @@ constexpr Config kConfigs[] = {
 struct CaseResult {
   double wall_ms = 0;
   double msgs_per_sec = 0;
-  StabilizerStats stats;  // sender's counters
+  // The sender's data.* counters.
+  uint64_t encodes = 0;
+  uint64_t shared_sends = 0;
+  uint64_t frames_coalesced = 0;
+  uint64_t frames_transmitted = 0;
 };
 
 CaseResult run_case(size_t nodes, size_t payload_size, const Config& cfg,
@@ -92,7 +96,11 @@ CaseResult run_case(size_t nodes, size_t payload_size, const Config& cfg,
   CaseResult r;
   r.wall_ms = std::chrono::duration<double, std::milli>(elapsed).count();
   r.msgs_per_sec = static_cast<double>(msgs) / (r.wall_ms / 1000.0);
-  r.stats = c.node(0).stats();
+  const Stabilizer& sender = c.node(0);
+  r.encodes = counter(sender, "data.encodes");
+  r.shared_sends = counter(sender, "data.shared_sends");
+  r.frames_coalesced = counter(sender, "data.frames_coalesced");
+  r.frames_transmitted = counter(sender, "data.frames_transmitted");
   return r;
 }
 
@@ -151,10 +159,9 @@ int main(int argc, char** argv) {
             shared_tput > 0 ? best.msgs_per_sec / shared_tput : 0;
         std::printf("%5zu %6zuB %9s | %10.0f %8.2fx | %8llu %8llu %9llu\n", n,
                     p, cfg.name, best.msgs_per_sec, ratio,
-                    static_cast<unsigned long long>(best.stats.data_encodes),
-                    static_cast<unsigned long long>(best.stats.shared_sends),
-                    static_cast<unsigned long long>(
-                        best.stats.frames_coalesced));
+                    static_cast<unsigned long long>(best.encodes),
+                    static_cast<unsigned long long>(best.shared_sends),
+                    static_cast<unsigned long long>(best.frames_coalesced));
         std::fprintf(
             json,
             "%s    {\"nodes\": %zu, \"payload\": %zu, \"config\": \"%s\", "
@@ -164,10 +171,10 @@ int main(int argc, char** argv) {
             "\"frames_transmitted\": %llu}",
             first_row ? "" : ",\n", n, p, cfg.name, msgs, best.wall_ms,
             best.msgs_per_sec, ratio,
-            static_cast<unsigned long long>(best.stats.data_encodes),
-            static_cast<unsigned long long>(best.stats.shared_sends),
-            static_cast<unsigned long long>(best.stats.frames_coalesced),
-            static_cast<unsigned long long>(best.stats.frames_transmitted));
+            static_cast<unsigned long long>(best.encodes),
+            static_cast<unsigned long long>(best.shared_sends),
+            static_cast<unsigned long long>(best.frames_coalesced),
+            static_cast<unsigned long long>(best.frames_transmitted));
         first_row = false;
       }
       if (n == 5 && p == 64) headline_ratio = coalesce_tput / shared_tput;

@@ -1,38 +1,32 @@
-// Observability overhead bench: what does the obs layer cost on the data
-// hot path?
+// Observability overhead bench: what do the opt-in tracer and latency probe
+// cost on the data hot path?
 //
 // One origin broadcasts M small payloads across a 5-node zero-loss sim mesh
-// (the same workload shape as bench_data_hotpath's headline cell) in two
-// modes built from the identical binary:
-//   * plain  — instrumentation compiled per the build flavor, no tracer
-//              attached (the always-on cost: relaxed counter increments),
-//   * traced — a shared Tracer subscribed to every SpanEvent (the opt-in
-//              cost: one mutex + 64-byte append per span record).
-// The binary prints which flavor it was compiled as (STAB_OBS=ON/OFF) and
-// writes BENCH_obs_overhead.json. The acceptance numbers compare across two
-// builds of this same binary:
-//   * ON plain vs OFF plain  — must be <= 3% throughput regression,
-//   * OFF plain vs the seed  — the compiled-out flavor must be free
-//     (<= 0.5%; the macros expand to `do { } while(0)`).
-// EXPERIMENTS.md "Observability overhead" records both; the committed
-// BENCH_obs_overhead.json merges the two flavors' outputs. Cross-binary
-// ratios are computed offline, so this bench never exits nonzero on a
-// threshold — it only reports.
+// (the same workload shape as bench_data_hotpath's headline cell) in four
+// modes of the identical binary:
+//   * plain    — no tracer or probe attached: the always-on cost (relaxed
+//                counter increments), which every mode pays,
+//   * traced   — a shared Tracer subscribed to every SpanEvent (one mutex +
+//                64-byte append per span record),
+//   * probe16, probe256 — the online latency probe sampling 1 sequence in
+//                16 or 256.
+// Each mode's throughput is reported against plain in BENCH_obs_latency.json,
+// together with the host that produced it. EXPERIMENTS.md "Observability
+// overhead" records the runs. The bench only reports: it never exits nonzero
+// on a ratio.
 #include <ctime>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "config/topology.hpp"
 #include "obs/obs.hpp"
-#if STAB_OBS_ENABLED
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
 
 namespace stab::bench {
 namespace {
@@ -70,7 +64,6 @@ CaseResult run_case(size_t nodes, size_t payload_size, size_t msgs,
                     bool traced, bool dump_metrics,
                     uint32_t probe_every = 0) {
   StabilizerOptions base;
-#if STAB_OBS_ENABLED
   std::shared_ptr<obs::Tracer> tracer;
   if (traced) {
     tracer = std::make_shared<obs::Tracer>(size_t{1} << 22, obs::kAllEvents);
@@ -83,10 +76,6 @@ CaseResult run_case(size_t nodes, size_t payload_size, size_t msgs,
     probe = std::make_shared<obs::LatencyProbe>(popt);
     base.probe = probe;
   }
-#else
-  (void)traced;
-  (void)probe_every;
-#endif
   StabCluster c(mesh(nodes), base);
   // A registered predicate in every mode keeps the workload identical
   // across modes and gives the probe a frontier to close send→stable
@@ -121,7 +110,6 @@ CaseResult run_case(size_t nodes, size_t payload_size, size_t msgs,
   CaseResult r;
   r.cpu_ms = cpu_now_ms() - start_ms;
   r.msgs_per_sec = static_cast<double>(msgs) / (r.cpu_ms / 1000.0);
-#if STAB_OBS_ENABLED
   if (tracer) r.trace_records = tracer->size();
   if (probe) {
     if (const obs::Histogram* h =
@@ -134,13 +122,9 @@ CaseResult run_case(size_t nodes, size_t payload_size, size_t msgs,
   }
   if (dump_metrics)
     c.node(0).metrics().dump_table(std::cout, "sender metrics");
-#else
-  (void)dump_metrics;
-#endif
   return r;
 }
 
-#if STAB_OBS_ENABLED
 // Cost of the scrape-side windowed machinery: one advance_windows (closing
 // an epoch over every probe histogram) plus one windowed percentile read,
 // measured over a probe populated by real traffic. This is pure exporter
@@ -171,7 +155,18 @@ double windowed_snapshot_ns() {
   if (sink == uint64_t(-1)) std::printf("unreachable\n");
   return ms * 1e6 / kIters;
 }
-#endif
+
+/// The CPU model named by /proc/cpuinfo ("unknown" where there is none).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        return line.substr(colon + 2);
+    }
+  return "unknown";
+}
 
 }  // namespace
 }  // namespace stab::bench
@@ -185,11 +180,10 @@ int main(int argc, char** argv) {
   const size_t kNodes = 5;
   const size_t kPayload = 64;
   const size_t msgs = smoke ? 512 : 8192;
-  const bool obs_on = STAB_OBS_ENABLED != 0;
 
-  print_header("Observability overhead: obs layer cost on the broadcast path",
-               "ISSUE 5 acceptance — <=3% enabled, <=0.5% compiled out");
-  std::printf("build flavor: STAB_OBS=%s\n", obs_on ? "ON" : "OFF");
+  print_header("Observability overhead: tracer and probe cost on the "
+               "broadcast path",
+               "the obs cost model of docs/OBSERVABILITY.md");
   if (smoke) std::printf("(smoke mode: reduced workload)\n");
 
   struct Mode {
@@ -197,39 +191,25 @@ int main(int argc, char** argv) {
     bool traced;
     uint32_t probe_every;
   };
-  std::vector<Mode> modes = {{"plain", false, 0}};
-  if (obs_on) {
-    modes.push_back({"traced", true, 0});
-    // Probe modes (ISSUE 8): the online latency-join at the two pinned
-    // sampling rates. probe16 is the acceptance configuration (total
-    // enabled overhead <= 3.5% vs an OFF build's plain mode).
-    modes.push_back({"probe16", false, 16});
-    modes.push_back({"probe256", false, 256});
-  }
+  // probe16 is the probe's acceptance configuration, probe256 a cheaper
+  // sampling rate.
+  const std::vector<Mode> modes = {{"plain", false, 0},
+                                   {"traced", true, 0},
+                                   {"probe16", false, 16},
+                                   {"probe256", false, 256}};
 
-  std::FILE* json = std::fopen("BENCH_obs_overhead.json", "w");
+  std::FILE* json = std::fopen("BENCH_obs_latency.json", "w");
   if (!json) {
-    std::fprintf(stderr, "cannot open BENCH_obs_overhead.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"obs_enabled\": %s,\n  \"smoke\": %s,\n"
-               "  \"nodes\": %zu,\n  \"payload\": %zu,\n"
-               "  \"messages\": %zu,\n  \"rows\": [\n",
-               obs_on ? "true" : "false", smoke ? "true" : "false", kNodes,
-               kPayload, msgs);
-
-  std::FILE* latency_json = std::fopen("BENCH_obs_latency.json", "w");
-  if (!latency_json) {
     std::fprintf(stderr, "cannot open BENCH_obs_latency.json\n");
     return 1;
   }
-  std::fprintf(latency_json,
-               "{\n  \"obs_enabled\": %s,\n  \"smoke\": %s,\n"
+  std::fprintf(json,
+               "{\n  \"host\": {\"cpu\": \"%s\", \"cpus\": %u},\n"
+               "  \"smoke\": %s,\n  \"reps\": %d,\n"
                "  \"nodes\": %zu,\n  \"payload\": %zu,\n"
                "  \"messages\": %zu,\n  \"rows\": [\n",
-               obs_on ? "true" : "false", smoke ? "true" : "false", kNodes,
-               kPayload, msgs);
+               cpu_model().c_str(), std::thread::hardware_concurrency(),
+               smoke ? "true" : "false", reps, kNodes, kPayload, msgs);
 
   std::printf("%9s | %10s %9s | %13s | %9s %9s\n", "mode", "msgs/s",
               "vs plain", "trace records", "dlv spans", "stb spans");
@@ -248,62 +228,38 @@ int main(int argc, char** argv) {
       if (rep == 1 || r.cpu_ms < best[mi].cpu_ms) best[mi] = r;
     }
   }
-  double plain_tput = 0;
-  bool first_row = true;
-  bool first_latency_row = true;
+  const double plain_tput = best[0].msgs_per_sec;  // modes[0] is plain
   for (size_t mi = 0; mi < modes.size(); ++mi) {
     const Mode& m = modes[mi];
-    if (!m.traced && m.probe_every == 0) plain_tput = best[mi].msgs_per_sec;
-    const double ratio =
-        plain_tput > 0 ? best[mi].msgs_per_sec / plain_tput : 0;
+    const double ratio = best[mi].msgs_per_sec / plain_tput;
     std::printf("%9s | %10.0f %8.3fx | %13llu | %9llu %9llu\n", m.name,
                 best[mi].msgs_per_sec, ratio,
                 static_cast<unsigned long long>(best[mi].trace_records),
                 static_cast<unsigned long long>(best[mi].probe_deliver_spans),
                 static_cast<unsigned long long>(best[mi].probe_stable_spans));
-    if (m.probe_every == 0) {
-      std::fprintf(json,
-                   "%s    {\"mode\": \"%s\", \"cpu_ms\": %.2f, "
-                   "\"msgs_per_sec\": %.0f, \"vs_plain\": %.4f, "
-                   "\"trace_records\": %llu}",
-                   first_row ? "" : ",\n", m.name, best[mi].cpu_ms,
-                   best[mi].msgs_per_sec, ratio,
-                   static_cast<unsigned long long>(best[mi].trace_records));
-      first_row = false;
-    }
-    std::fprintf(latency_json,
+    std::fprintf(json,
                  "%s    {\"mode\": \"%s\", \"sample_every\": %u, "
                  "\"cpu_ms\": %.2f, \"msgs_per_sec\": %.0f, "
-                 "\"vs_plain\": %.4f, \"deliver_spans\": %llu, "
-                 "\"stable_spans\": %llu}",
-                 first_latency_row ? "" : ",\n", m.name, m.probe_every,
-                 best[mi].cpu_ms, best[mi].msgs_per_sec, ratio,
+                 "\"vs_plain\": %.4f, \"trace_records\": %llu, "
+                 "\"deliver_spans\": %llu, \"stable_spans\": %llu}",
+                 mi == 0 ? "" : ",\n", m.name, m.probe_every, best[mi].cpu_ms,
+                 best[mi].msgs_per_sec, ratio,
+                 static_cast<unsigned long long>(best[mi].trace_records),
                  static_cast<unsigned long long>(best[mi].probe_deliver_spans),
                  static_cast<unsigned long long>(best[mi].probe_stable_spans));
-    first_latency_row = false;
   }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
 
-  double snapshot_ns = 0;
-#if STAB_OBS_ENABLED
-  snapshot_ns = windowed_snapshot_ns();
+  const double snapshot_ns = windowed_snapshot_ns();
   std::printf("windowed snapshot (advance + percentile read): %.0f ns\n",
               snapshot_ns);
-#endif
-  std::fprintf(latency_json, "\n  ],\n  \"windowed_snapshot_ns\": %.0f\n}\n",
+  std::fprintf(json, "\n  ],\n  \"windowed_snapshot_ns\": %.0f\n}\n",
                snapshot_ns);
-  std::fclose(latency_json);
+  std::fclose(json);
 
   // Show the registry integration once (not timed): the table the chaos
   // campaign and EXPERIMENTS.md reference.
-  if (obs_on && !smoke) run_case(kNodes, kPayload, 256, false, true);
+  if (!smoke) run_case(kNodes, kPayload, 256, false, true);
 
-  std::printf(
-      "\nwrote BENCH_obs_overhead.json + BENCH_obs_latency.json "
-      "(flavor STAB_OBS=%s)\n"
-      "compare msgs/s across an ON and an OFF build of this binary for the "
-      "acceptance ratios.\n",
-      obs_on ? "ON" : "OFF");
+  std::printf("\nwrote BENCH_obs_latency.json\n");
   return 0;
 }

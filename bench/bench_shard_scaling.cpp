@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "config/topology.hpp"
 #include "net/inproc_transport.hpp"
 #include "shard/sharded_stabilizer.hpp"
@@ -176,7 +177,8 @@ CaseResult run_case(uint32_t num_shards, size_t total_msgs) {
                       .count()) /
               1000.0;
   r.msgs_per_sec = static_cast<double>(total_msgs) / (r.wall_ms / 1000.0);
-  r.frames_coalesced = origin.stats().frames_coalesced;
+  for (ShardId s = 0; s < num_shards; ++s)
+    r.frames_coalesced += counter(origin.shard(s), "data.frames_coalesced");
   return r;
 }
 

@@ -134,17 +134,12 @@ ModeResult run_mode(const char* name, double flush_ms, bool aggregate,
   r.p99_ms = lag.percentile(99);
   r.max_ms = lag.max();
   for (NodeId id = 0; id < n; ++id) {
-    const obs::MetricsRegistry& m = c.node(id).metrics();
-    for (const char* counter : {"control.ack_bytes_sent",
-                                "control.report_bytes_sent"})
-      if (const obs::Counter* v = m.find_counter(counter))
-        r.control_bytes += v->value();
-    for (const char* counter : {"control.ack_batches_sent",
-                                "control.report_batches_sent"})
-      if (const obs::Counter* v = m.find_counter(counter))
-        r.control_frames += v->value();
-    if (const obs::Counter* v = m.find_counter("control.report_entries_applied"))
-      r.report_entries += v->value();
+    const Stabilizer& node = c.node(id);
+    r.control_bytes += counter(node, "control.ack_bytes_sent") +
+                       counter(node, "control.report_bytes_sent");
+    r.control_frames += counter(node, "control.ack_batches_sent") +
+                        counter(node, "control.report_batches_sent");
+    r.report_entries += counter(node, "control.report_entries_applied");
   }
   return r;
 }
@@ -229,16 +224,11 @@ int run(bool smoke) {
                smoke ? "true" : "false");
   std::fclose(json);
 
-#if !STAB_OBS_ENABLED
-  // Byte counters read zero without the obs layer; the lag bound still holds.
-  std::printf("obs disabled: skipping the control-bytes acceptance floor\n");
-#else
   if (agg_reduction < bytes_floor) {
     std::fprintf(stderr, "FAIL: bytes reduction %.1fx < %.0fx\n",
                  agg_reduction, bytes_floor);
     return 1;
   }
-#endif
   if (rows[2].p99_ms > p99_bound_ms) {
     std::fprintf(stderr, "FAIL: deferred+agg p99 lag %.1f ms > %.0f ms\n",
                  rows[2].p99_ms, p99_bound_ms);

@@ -69,11 +69,15 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
   }
 
-  const StabilizerStats stats = nodes[0]->stats();
-  std::printf("\nmessages sent: %llu, report frames: %llu\n",
-              static_cast<unsigned long long>(stats.messages_sent),
-              static_cast<unsigned long long>(stats.ack_batches_sent +
-                                              stats.report_batches_sent));
+  // A node's counters live in its metrics registry, under the names of
+  // docs/OBSERVABILITY.md.
+  obs::MetricsRegistry& m = nodes[0]->metrics();
+  std::printf(
+      "\nmessages sent: %llu, report frames: %llu\n",
+      static_cast<unsigned long long>(m.counter("core.messages_sent").value()),
+      static_cast<unsigned long long>(
+          m.counter("control.ack_batches_sent").value() +
+          m.counter("control.report_batches_sent").value()));
   nodes.clear();
   for (auto& t : transports) t->shutdown();
   return 0;

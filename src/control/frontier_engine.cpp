@@ -13,7 +13,6 @@ FrontierEngine::FrontierEngine(const Topology& topology, NodeId self,
       mode_(mode),
       acks_(topology.num_nodes()) {}
 
-#if STAB_OBS_ENABLED
 std::string FrontierEngine::lag_gauge_name(const std::string& key) const {
   return "control.frontier_lag.o" + std::to_string(obs_.origin) + "." + key;
 }
@@ -25,7 +24,6 @@ void FrontierEngine::set_obs(ObsSinks sinks) {
     for (auto& [key, entry] : entries_)
       entry->lag_gauge = &obs_.registry->gauge(lag_gauge_name(key));
 }
-#endif
 
 Result<FrontierEngine::PredicatePtr> FrontierEngine::compile(
     const std::string& source) {
@@ -87,11 +85,9 @@ Status FrontierEngine::register_predicate(const std::string& key,
   for (StabilityTypeId t : entry->predicate->referenced_types())
     acks_.ensure_type(t);
   Entry& ref = *entry;
-  STAB_OBS({
-    ref.key = key;
-    if (obs_.registry)
-      ref.lag_gauge = &obs_.registry->gauge(lag_gauge_name(key));
-  });
+  ref.key = key;
+  if (obs_.registry)
+    ref.lag_gauge = &obs_.registry->gauge(lag_gauge_name(key));
   entries_.emplace(key, std::move(entry));
   index_entry(ref);
   // Publish the board slot before the initial evaluation so the wait-free
@@ -247,7 +243,7 @@ bool FrontierEngine::on_ack(StabilityTypeId type, NodeId node, SeqNum seq,
                             BytesView extra) {
   int64_t old_value = kNoSeq;
   if (!acks_.update(type, node, seq, &old_value)) return false;
-  STAB_OBS(if (seq > high_water_) high_water_ = seq);
+  if (seq > high_water_) high_water_ = seq;
   dispatch_cell(type, node, old_value, seq, extra);
   return true;
 }
@@ -278,7 +274,7 @@ size_t FrontierEngine::on_ack_batch(std::span<const AckUpdate> updates) {
     int64_t old_value = kNoSeq;
     if (!acks_.update(u.type, u.node, u.seq, &old_value)) continue;
     ++advanced;
-    STAB_OBS(if (u.seq > high_water_) high_water_ = u.seq);
+    if (u.seq > high_water_) high_water_ = u.seq;
     const size_t c = cell(u.type, u.node);
     const size_t affected = bucket_size(c);
     evals_skipped_index_ += entries_.size() - affected;
@@ -333,7 +329,6 @@ void FrontierEngine::set_dispatch_mode(DispatchMode mode) {
 void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
                                 bool allow_regress) {
   ++predicate_evals_;
-#if STAB_OBS_ENABLED
   SeqNum next;
   // 1-in-16 sampled eval latency, timed on the active Env clock (virtual
   // time under the simulator, where evals take zero virtual nanoseconds —
@@ -345,10 +340,7 @@ void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
   } else {
     next = entry.predicate->eval(acks_);
   }
-#else
-  SeqNum next = entry.predicate->eval(acks_);
-#endif
-  [[maybe_unused]] const SeqNum prev_frontier = entry.frontier;
+  const SeqNum prev_frontier = entry.frontier;
   // Monotonic guard: only a predicate swap may move the frontier back.
   const bool moved =
       next > entry.frontier || (next < entry.frontier && allow_regress);
@@ -362,7 +354,6 @@ void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
   // woken by a monitor observes a frontier at least as new as the wake.
   if (entry.board_slot != nullptr)
     entry.board_slot->frontier.store(next, std::memory_order_release);
-#if STAB_OBS_ENABLED
   if (next >= 0) {
     // Frontier lag: how far the newest known message on this stream is
     // ahead of the predicate's frontier at the moment it fires.
@@ -371,7 +362,7 @@ void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
     if (obs_.frontier_lag != nullptr) obs_.frontier_lag->record(lag);
     if (entry.lag_gauge != nullptr)
       entry.lag_gauge->set(static_cast<int64_t>(lag));
-    if (STAB_TRACE_WANTS(obs_.tracer, obs::SpanEvent::kFrontierFire) &&
+    if (obs_.tracer && obs_.tracer->wants(obs::SpanEvent::kFrontierFire) &&
         obs_.now)
       obs_.tracer->record(obs_.now(), obs::SpanEvent::kFrontierFire, obs_.node,
                           obs_.origin, next, kInvalidNode, entry.key);
@@ -394,7 +385,6 @@ void FrontierEngine::reevaluate(Entry& entry, BytesView extra,
                               obs_.now());
     }
   }
-#endif
   // By index up to the count before the first call: a monitor that adds
   // monitors on this key appends to the vector, and those fire from the
   // next advance on.

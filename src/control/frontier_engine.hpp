@@ -169,7 +169,6 @@ class FrontierEngine {
   const FrontierBoard& board() const { return board_; }
 
   // --- hot-path observability ---------------------------------------------------
-#if STAB_OBS_ENABLED
   /// Observability sinks, wired by the owning Stabilizer. Every field is
   /// optional (null/empty = not recorded). `now` must read the active Env
   /// clock so eval timing and kFrontierFire spans are deterministic under
@@ -186,7 +185,6 @@ class FrontierEngine {
     std::function<TimePoint()> now;
   };
   void set_obs(ObsSinks sinks);
-#endif
 
   /// Total Predicate::eval calls performed.
   uint64_t predicate_evals() const { return predicate_evals_; }
@@ -197,8 +195,6 @@ class FrontierEngine {
   /// could not move the frontier, because they did not cross it or left
   /// fewer items above it than the order statistic's rank (lossless).
   uint64_t evals_skipped_binding() const { return evals_skipped_binding_; }
-  /// Back-compat alias for predicate_evals().
-  uint64_t evaluations() const { return predicate_evals_; }
 
  private:
   struct Waiter {
@@ -221,10 +217,8 @@ class FrontierEngine {
     BytesView pending_extra{};         // extra routed to this entry's eval
     SeqNum pending_extra_seq = kNoSeq; // seq of the report carrying it
     FrontierBoard::Slot* board_slot = nullptr;  // wait-free published copy
-#if STAB_OBS_ENABLED
     std::string key;                   // registration key (trace detail)
     obs::Gauge* lag_gauge = nullptr;   // control.frontier_lag.oN.<key>
-#endif
   };
 
   /// index_ position of (type, node): type-major, so adding types appends
@@ -270,13 +264,11 @@ class FrontierEngine {
   uint64_t predicate_evals_ = 0;
   uint64_t evals_skipped_index_ = 0;
   uint64_t evals_skipped_binding_ = 0;
-#if STAB_OBS_ENABLED
   std::string lag_gauge_name(const std::string& key) const;
   ObsSinks obs_;
   // Highest sequence any report has mentioned for this stream — the
   // "newest message we know of" reference point for frontier lag.
   SeqNum high_water_ = kNoSeq;
-#endif
 };
 
 }  // namespace stab

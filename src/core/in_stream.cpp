@@ -15,9 +15,10 @@ bool InStream::admit(NodeId src, PrimaryEpoch epoch) {
   if (epoch < known || (epoch == known && src != n.stream_primary_[origin_])) {
     // Stale authority: a zombie ex-primary (or an impostor) extending a
     // sequence space the cluster has moved past. Counted, never delivered.
-    STAB_OBS(n.ctr_.fenced_frames.inc());
-    STAB_TRACE(n.tracer_, n.env().now(), obs::SpanEvent::kFenceDrop,
-               n.options_.self, origin_, kNoSeq, src, "stale_epoch");
+    n.ctr_.fenced_frames.inc();
+    if (n.tracer_)
+      n.tracer_->record(n.env().now(), obs::SpanEvent::kFenceDrop,
+                        n.options_.self, origin_, kNoSeq, src, "stale_epoch");
     return false;
   }
   if (epoch > known) {
@@ -25,9 +26,10 @@ bool InStream::admit(NodeId src, PrimaryEpoch epoch) {
     // we cannot authenticate the authority yet — and count; the announcement
     // arrives (the winner re-broadcasts it), and the next frame after it
     // NACKs the hole this drop left.
-    STAB_OBS(n.ctr_.epoch_ahead_drops.inc());
-    STAB_TRACE(n.tracer_, n.env().now(), obs::SpanEvent::kFenceDrop,
-               n.options_.self, origin_, kNoSeq, src, "epoch_ahead");
+    n.ctr_.epoch_ahead_drops.inc();
+    if (n.tracer_)
+      n.tracer_->record(n.env().now(), obs::SpanEvent::kFenceDrop,
+                        n.options_.self, origin_, kNoSeq, src, "epoch_ahead");
     return false;
   }
   // Our own stream never re-delivers to us — after a takeover of our stream
@@ -65,7 +67,7 @@ void InStream::accept(NodeId src, SeqNum seq, BytesView payload,
     return;
   }
   if (seq < next_) {
-    STAB_OBS(node_.ctr_.duplicates_dropped.inc());
+    node_.ctr_.duplicates_dropped.inc();
     return;
   }
   // Past a hole. Held when within retransmit_window of the prefix. The
@@ -82,12 +84,12 @@ void InStream::accept(NodeId src, SeqNum seq, BytesView payload,
   if (hold) {
     auto [it, fresh] = held_.try_emplace(seq);
     if (!fresh) {
-      STAB_OBS(node_.ctr_.duplicates_dropped.inc());
+      node_.ctr_.duplicates_dropped.inc();
       return;
     }
     it->second = Held{src, Bytes(payload.begin(), payload.end()), wire_size};
   }
-  STAB_OBS(node_.ctr_.gaps_detected.inc());
+  node_.ctr_.gaps_detected.inc();
 }
 
 void InStream::drain_held() {
@@ -105,12 +107,12 @@ void InStream::deliver(NodeId src, SeqNum seq, BytesView payload,
                        uint64_t wire_size) {
   Stabilizer& n = node_;
   const NodeId self = n.options_.self;
-  STAB_OBS(++n.ctr_.pending_messages_delivered);
-  STAB_TRACE(n.tracer_, n.env().now(), obs::SpanEvent::kDeliver, self,
-             origin_, seq, src);
-  if (STAB_PROBE_SAMPLED(n.probe_, seq))
-    STAB_PROBE(n.probe_, on_deliver(self, origin_, seq, n.env().now()));
-  (void)src;
+  ++n.ctr_.pending_messages_delivered;
+  if (n.tracer_)
+    n.tracer_->record(n.env().now(), obs::SpanEvent::kDeliver, self, origin_,
+                      seq, src);
+  if (n.probe_ && n.probe_->sampled(seq))
+    n.probe_->on_deliver(self, origin_, seq, n.env().now());
 
   FrontierEngine& engine = *n.engines_[origin_];
   // Origin rule for the remote stream (the stream's sequencing authority has
@@ -149,7 +151,7 @@ void InStream::nack(SeqNum from, SeqNum to) {
   f.from = from;
   f.to = to;
   n.transport_.send(primary, data::encode(f));
-  STAB_OBS(n.ctr_.nacks_sent.inc());
+  n.ctr_.nacks_sent.inc();
 }
 
 void InStream::discard_held() {

@@ -73,7 +73,7 @@ void OutStream::pump() {
       ++cursor;
     }
   }
-  STAB_OBS(node_.ctr_.flush_pending());
+  node_.ctr_.flush_pending();
 }
 
 void OutStream::probe() {
@@ -101,7 +101,7 @@ bool OutStream::resend(NodeId peer, SeqNum from, SeqNum to) {
   if (to - from >= window) to = from + window - 1;
   for (SeqNum s = from; s <= to; ++s) {
     transmit(peer, *out_.get(s));
-    STAB_OBS(node_.ctr_.retransmits_sent.inc());
+    node_.ctr_.retransmits_sent.inc();
   }
   return true;
 }
@@ -148,17 +148,16 @@ void OutStream::transmit(NodeId dst, const data::OutBuffer::Slot& slot) {
     slot.encoded = std::make_shared<const Bytes>(
         data::encode_data(origin_, slot.seq, slot.payload, slot.virtual_size,
                           node_.stream_epoch_[origin_]));
-    STAB_OBS(++node_.ctr_.pending_data_encodes);
+    ++node_.ctr_.pending_data_encodes;
   }
   uint64_t wire = slot.encoded->size() + slot.virtual_size;
   node_.transport_.send_shared(dst, slot.encoded, wire);
-  STAB_OBS({
-    ++node_.ctr_.pending_shared_sends;
-    ++node_.ctr_.pending_frames_transmitted;
-  });
-  STAB_TRACE(node_.tracer_, node_.transport_.env().now(),
-             obs::SpanEvent::kTransmit, node_.options_.self, origin_,
-             slot.seq, dst);
+  ++node_.ctr_.pending_shared_sends;
+  ++node_.ctr_.pending_frames_transmitted;
+  if (node_.tracer_)
+    node_.tracer_->record(node_.transport_.env().now(),
+                          obs::SpanEvent::kTransmit, node_.options_.self,
+                          origin_, slot.seq, dst);
 }
 
 void OutStream::transmit_batch(NodeId dst, SeqNum first, size_t count) {
@@ -180,25 +179,19 @@ void OutStream::transmit_batch(NodeId dst, SeqNum first, size_t count) {
     batch_first_ = first;
     batch_count_ = count;
     batch_wire_ = batch_frame_->size() + virtual_total;
-    STAB_OBS({
-      ++node_.ctr_.pending_data_encodes;
-      node_.ctr_.batch_frames.record(count);
-    });
+    ++node_.ctr_.pending_data_encodes;
+    node_.ctr_.batch_frames.record(count);
   }
   node_.transport_.send_shared(dst, batch_frame_, batch_wire_);
-  STAB_OBS({
-    ++node_.ctr_.pending_shared_sends;
-    node_.ctr_.pending_frames_transmitted += count;
-    node_.ctr_.pending_frames_coalesced += count;
-  });
-#if STAB_OBS_ENABLED
-  if (STAB_TRACE_WANTS(node_.tracer_, obs::SpanEvent::kTransmit)) {
+  ++node_.ctr_.pending_shared_sends;
+  node_.ctr_.pending_frames_transmitted += count;
+  node_.ctr_.pending_frames_coalesced += count;
+  if (node_.tracer_ && node_.tracer_->wants(obs::SpanEvent::kTransmit)) {
     TimePoint now = node_.transport_.env().now();
     for (size_t i = 0; i < count; ++i)
       node_.tracer_->record(now, obs::SpanEvent::kTransmit, node_.options_.self,
                             origin_, first + static_cast<SeqNum>(i), dst);
   }
-#endif
 }
 
 }  // namespace stab

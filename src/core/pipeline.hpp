@@ -35,28 +35,14 @@ class ControlPipeline {
   /// types take the locked path (correctness is unaffected).
   static constexpr size_t kCellTypes = 16;
 
-  // In the -DSTAB_OBS=OFF flavor the obs namespace does not exist at all;
-  // callers pass nullptr through the same signature.
-#if STAB_OBS_ENABLED
-  using RegistryPtr = obs::MetricsRegistry*;
-#else
-  using RegistryPtr = std::nullptr_t;
-#endif
-
-  /// `registry` may be null (obs compiled out or not wired).
-  ControlPipeline(size_t num_origins, RegistryPtr registry) {
+  /// The pipeline.* metrics live in the owning node's `registry`.
+  ControlPipeline(size_t num_origins, obs::MetricsRegistry& registry)
+      : drain_batch_(registry.histogram("pipeline.drain_batch")),
+        drains_(registry.counter("pipeline.drains")),
+        cell_acks_(registry.counter("pipeline.cell_acks")) {
     cells_.reserve(num_origins);
     for (size_t i = 0; i < num_origins; ++i)
       cells_.push_back(std::make_unique<AckCellBlock>(kCellTypes));
-#if STAB_OBS_ENABLED
-    if (registry) {
-      drain_batch_ = &registry->histogram("pipeline.drain_batch");
-      drains_ = &registry->counter("pipeline.drains");
-      cell_acks_ = &registry->counter("pipeline.cell_acks");
-    }
-#else
-    (void)registry;
-#endif
   }
 
   // --- producer side (lock-free, any thread) ---------------------------------
@@ -66,9 +52,7 @@ class ControlPipeline {
   bool offer(NodeId origin, StabilityTypeId type, SeqNum seq,
              bool* advanced) {
     bool ok = cells_[origin]->offer(type, seq, advanced);
-#if STAB_OBS_ENABLED
-    if (*advanced && cell_acks_) cell_acks_->inc();
-#endif
+    if (*advanced) cell_acks_.inc();
     return ok;
   }
 
@@ -96,24 +80,17 @@ class ControlPipeline {
     return cells_[origin]->drain(std::forward<Fn>(fn));
   }
 
-#if STAB_OBS_ENABLED
   void record_drain(size_t batch) {
-    if (drains_) drains_->inc();
-    if (drain_batch_) drain_batch_->record(batch);
+    drains_.inc();
+    drain_batch_.record(batch);
   }
-#else
-  void record_drain(size_t) {}
-#endif
 
  private:
   std::vector<std::unique_ptr<AckCellBlock>> cells_;  // per origin
   std::atomic<bool> armed_{false};
-
-#if STAB_OBS_ENABLED
-  obs::Histogram* drain_batch_ = nullptr;
-  obs::Counter* drains_ = nullptr;
-  obs::Counter* cell_acks_ = nullptr;
-#endif
+  obs::Histogram& drain_batch_;
+  obs::Counter& drains_;
+  obs::Counter& cell_acks_;
 };
 
 }  // namespace stab

@@ -112,7 +112,7 @@ NodeId ReportPlane::route_aggregator() {
   // "bypass and send directly". The stall and RESUME machinery flips these
   // back when the aggregator heals.
   if (n.excluded_[g] || n.stalled_[g] || n.stream_primary_[g] != g) {
-    STAB_OBS(n.ctr_.agg_fallback_direct.inc());
+    n.ctr_.agg_fallback_direct.inc();
     return kInvalidNode;
   }
   return g;
@@ -124,7 +124,7 @@ void ReportPlane::flush() {
   if (!any) return;
   Stabilizer& n = node_;
   const NodeId self = n.options_.self;
-  STAB_OBS(n.ctr_.deferred_flushes.inc());
+  n.ctr_.deferred_flushes.inc();
   rows_[own_].epoch = n.stream_epoch_[self];
 
   const NodeId agg = route_aggregator();
@@ -153,8 +153,8 @@ void ReportPlane::flush() {
   for (Bytes& extra : extra_) extra.clear();
   // The periodic control flush doubles as the fold point for the batched
   // data-plane deltas, so receive-side counters stay at most one
-  // ack_interval stale (stats()/metrics() fold on read anyway).
-  STAB_OBS(n.ctr_.flush_pending());
+  // ack_interval stale (metrics() folds on read anyway).
+  n.ctr_.flush_pending();
 }
 
 bool ReportPlane::take_plain(NodeId lo, NodeId hi) {
@@ -203,16 +203,14 @@ bool ReportPlane::take_extra(NodeId lo, NodeId hi) {
 void ReportPlane::send(bool plain, NodeId to) {
   Stabilizer& n = node_;
   Bytes encoded = plain ? data::encode(reports_) : data::encode(acks_);
-  STAB_OBS({
-    size_t entries = acks_.entries.size();
-    if (plain) {
-      entries = 0;
-      for (const data::ReportBlock& b : reports_.blocks)
-        entries += b.entries.size();
-    }
-    (plain ? n.ctr_.report_flush_entries : n.ctr_.ack_flush_entries)
-        .record(entries);
-  });
+  size_t entries = acks_.entries.size();
+  if (plain) {
+    entries = 0;
+    for (const data::ReportBlock& b : reports_.blocks)
+      entries += b.entries.size();
+  }
+  (plain ? n.ctr_.report_flush_entries : n.ctr_.ack_flush_entries)
+      .record(entries);
   if (plain) {
     // Hand each block's buffer back to its row.
     for (data::ReportBlock& b : reports_.blocks)
@@ -220,10 +218,8 @@ void ReportPlane::send(bool plain, NodeId to) {
     reports_.blocks.clear();
   }
   const auto sent = [&n, plain, size = encoded.size()] {
-    STAB_OBS({
-      (plain ? n.ctr_.report_batches_sent : n.ctr_.ack_batches_sent).inc();
-      (plain ? n.ctr_.report_bytes_sent : n.ctr_.ack_bytes_sent).inc(size);
-    });
+    (plain ? n.ctr_.report_batches_sent : n.ctr_.ack_batches_sent).inc();
+    (plain ? n.ctr_.report_bytes_sent : n.ctr_.ack_bytes_sent).inc(size);
   };
   if (to != kInvalidNode) {
     sent();
@@ -236,24 +232,18 @@ void ReportPlane::send(bool plain, NodeId to) {
   for (NodeId peer = 0; peer < nodes_; ++peer) {
     if (peer == n.options_.self || n.excluded_[peer]) continue;
     n.transport_.send_shared(peer, shared);
-    STAB_OBS(++n.ctr_.pending_shared_sends);
+    ++n.ctr_.pending_shared_sends;
     sent();
   }
 }
 
 void ReportPlane::trace(NodeId about, StabilityTypeId type,
                         SeqNum seq) const {
-#if STAB_OBS_ENABLED
   const Stabilizer& n = node_;
-  if (STAB_TRACE_WANTS(n.tracer_, obs::SpanEvent::kAckReport))
+  if (n.tracer_ && n.tracer_->wants(obs::SpanEvent::kAckReport))
     n.tracer_->record(n.transport_.env().now(), obs::SpanEvent::kAckReport,
                       n.options_.self, about, seq, kInvalidNode,
                       n.types_.name(type));
-#else
-  (void)about;
-  (void)type;
-  (void)seq;
-#endif
 }
 
 }  // namespace stab

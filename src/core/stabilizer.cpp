@@ -6,7 +6,6 @@
 
 namespace stab {
 
-#if STAB_OBS_ENABLED
 Stabilizer::Counters::Counters(obs::MetricsRegistry& r)
     : messages_sent(r.counter("core.messages_sent")),
       messages_delivered(r.counter("core.messages_delivered")),
@@ -70,7 +69,6 @@ void Stabilizer::Counters::flush_pending() {
     pending_frames_coalesced = 0;
   }
 }
-#endif
 
 namespace {
 // Checked before any member is built: the streams and the report plane
@@ -95,7 +93,6 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
     in_.emplace_back(*this, origin);
   }
 
-#if STAB_OBS_ENABLED
   metrics_.set_shard(options_.shard_label);
   tracer_ = options_.tracer.get();
   probe_ = options_.probe.get();
@@ -116,14 +113,11 @@ Stabilizer::Stabilizer(StabilizerOptions options, Transport& transport)
     sinks.now = [this] { return transport_.env().now(); };
     engines_[origin]->set_obs(std::move(sinks));
   }
-#endif
 
   // Lock-free report cells only where reports can come from threads other
   // than the Env thread; the simulator applies every report directly.
   if (!transport_.single_threaded()) {
-    ControlPipeline::RegistryPtr reg = nullptr;
-    STAB_OBS(reg = &metrics_);
-    pipeline_ = std::make_unique<ControlPipeline>(n, reg);
+    pipeline_ = std::make_unique<ControlPipeline>(n, metrics_);
     drain_gate_ = std::make_shared<DrainGate>();
     drain_gate_->owner = this;
   }
@@ -168,8 +162,8 @@ Stabilizer::~Stabilizer() {
   // Shutdown is the quiesce point end-of-run readers care about: fold the
   // wire codec's thread-batched deltas into the global registry and mirror
   // any trace drops, so post-mortem exports read exact values.
-  STAB_OBS(data::flush_wire_counters());
-  STAB_OBS(sync_trace_dropped());
+  data::flush_wire_counters();
+  sync_trace_dropped();
 }
 
 // --- data plane ----------------------------------------------------------------
@@ -200,12 +194,12 @@ SeqNum Stabilizer::send_on(OutStream& stream, BytesView payload,
                            uint64_t virtual_size) {
   const NodeId origin = stream.origin();
   SeqNum seq = stream.push(payload, virtual_size);
-  STAB_OBS(++ctr_.pending_messages_sent);
-  STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kBroadcast, options_.self,
-             origin, seq);
+  ++ctr_.pending_messages_sent;
+  if (tracer_)
+    tracer_->record(env().now(), obs::SpanEvent::kBroadcast, options_.self,
+                    origin, seq);
   // Gate on sampled() first so 15-in-16 sends skip the clock read too.
-  if (STAB_PROBE_SAMPLED(probe_, seq))
-    STAB_PROBE(probe_, on_send(origin, seq, env().now()));
+  if (probe_ && probe_->sampled(seq)) probe_->on_send(origin, seq, env().now());
 
   if (options_.coalesce_max_frames > 1)
     arm_flush();  // batch with the rest of this event-loop turn's sends
@@ -295,9 +289,10 @@ void Stabilizer::on_frame(NodeId src, BytesView frame, uint64_t wire_size) {
   // dead) and is dropped and counted. Per-stream authority of *other* nodes'
   // adopted streams is checked per data frame below.
   if (src < stream_primary_.size() && stream_primary_[src] != src) {
-    STAB_OBS(ctr_.fenced_frames.inc());
-    STAB_TRACE(tracer_, env().now(), obs::SpanEvent::kFenceDrop, options_.self,
-               src, kNoSeq, src, "node_deposed");
+    ctr_.fenced_frames.inc();
+    if (tracer_)
+      tracer_->record(env().now(), obs::SpanEvent::kFenceDrop, options_.self,
+                      src, kNoSeq, src, "node_deposed");
     return;
   }
   auto kind = data::peek_kind(frame);
@@ -321,7 +316,7 @@ void Stabilizer::on_frame(NodeId src, BytesView frame, uint64_t wire_size) {
       decode();
       return true;
     } catch (const CodecError&) {
-      STAB_OBS(ctr_.frames_malformed.inc());
+      ctr_.frames_malformed.inc();
       return false;
     }
   };
@@ -375,7 +370,7 @@ void Stabilizer::handle_nack(NodeId src, const data::NackFrame& nack) {
   // hold: an older authority's, or a newer one it has not learned yet.
   if (stream == nullptr || nack.primary_epoch != stream_epoch_[nack.origin] ||
       !stream->resend(src, nack.from, nack.to))
-    STAB_OBS(ctr_.nacks_dropped.inc());
+    ctr_.nacks_dropped.inc();
 }
 
 // --- lock-free report cells (DESIGN.md §4f) ----------------------------------
@@ -445,8 +440,7 @@ void Stabilizer::handle_ack_batch(const data::AckBatchView& frame) {
         AckUpdate{e.type, frame.reporter, e.seq, e.extra});
     ++applied;
   }
-  STAB_OBS(if (applied) ctr_.ack_entries_applied.inc(applied));
-  (void)applied;
+  if (applied) ctr_.ack_entries_applied.inc(applied);
   for (NodeId origin = 0; origin < per_origin.size(); ++origin)
     if (!per_origin[origin].empty())
       engines_[origin]->on_ack_batch(per_origin[origin]);
@@ -472,7 +466,7 @@ void Stabilizer::handle_report_batch(NodeId src,
     // everyone, including the mirrors it came from) carries nothing new.
     if (b.reporter >= engines_.size() || b.reporter == options_.self) continue;
     if (stream_primary_[b.reporter] != b.reporter) {
-      STAB_OBS(ctr_.report_blocks_fenced.inc());
+      ctr_.report_blocks_fenced.inc();
       continue;
     }
     for (const data::ReportEntry& e : b.entries) {
@@ -486,10 +480,9 @@ void Stabilizer::handle_report_batch(NodeId src,
     // (another aggregator's forward, or a fallback mirror) are consumed
     // locally but never re-forwarded — one merge level, no loops.
     if (absorbing && reports_.absorb(b))
-      STAB_OBS(ctr_.agg_blocks_absorbed.inc());
+      ctr_.agg_blocks_absorbed.inc();
   }
-  STAB_OBS(if (applied) ctr_.report_entries_applied.inc(applied));
-  (void)applied;
+  if (applied) ctr_.report_entries_applied.inc(applied);
   for (NodeId origin = 0; origin < per_origin.size(); ++origin)
     if (!per_origin[origin].empty())
       engines_[origin]->on_ack_batch(per_origin[origin]);
@@ -508,14 +501,12 @@ void Stabilizer::send_resume(NodeId peer, bool reply) {
   frame.reply = reply;
   transport_.send_shared(peer,
                          std::make_shared<const Bytes>(data::encode(frame)));
-  STAB_OBS({
-    ctr_.shared_sends.inc();
-    ctr_.resumes_sent.inc();
-  });
+  ctr_.shared_sends.inc();
+  ctr_.resumes_sent.inc();
 }
 
 void Stabilizer::handle_resume(NodeId src, const data::ResumeFrame& frame) {
-  STAB_OBS(ctr_.resumes_received.inc());
+  ctr_.resumes_received.inc();
   if (frame.sender != src || src >= peer_epoch_.size()) return;
 
   // Any RESUME from src was sent causally after src processed our own
@@ -551,7 +542,7 @@ void Stabilizer::mark_peer_recovered(NodeId peer) {
   // Exactly-once per episode: a RESUME-driven recovery suppresses the
   // stall_check progress path (stalled_ already cleared) and vice versa.
   stalled_[peer] = false;
-  STAB_OBS(ctr_.peer_recover_episodes.inc());
+  ctr_.peer_recover_episodes.inc();
   if (recovered_handler_) recovered_handler_(peer);
 }
 
@@ -586,7 +577,7 @@ void Stabilizer::retransmit_check() {
 
   for (auto& [origin, stream] : adopted_) stream.probe();
   own_.probe();
-  STAB_OBS(ctr_.flush_pending());
+  ctr_.flush_pending();
 }
 
 // --- peer stall detection (§III-E) --------------------------------------------
@@ -626,7 +617,7 @@ void Stabilizer::stall_check() {
     }
     if (!stalled_[peer]) {
       stalled_[peer] = true;  // one notification per stall episode
-      STAB_OBS(ctr_.peer_stall_episodes.inc());
+      ctr_.peer_stall_episodes.inc();
       if (stall_handler_) stall_handler_(peer);
     }
   }
@@ -888,7 +879,7 @@ Status Stabilizer::waitfor(SeqNum seq, const std::string& key, WaiterFn fn,
   // instead of parking a waiter that would hang forever.
   auto fenced = [&] {
     if (origin != options_.self || !self_fenced_.load()) return false;
-    STAB_OBS(ctr_.waiters_fenced.inc());
+    ctr_.waiters_fenced.inc();
     fn(kFencedSeq);
     return true;
   };
@@ -1063,7 +1054,7 @@ Status Stabilizer::adopt_stream(NodeId origin, SeqNum start_seq,
     return Status::error("adopt_stream: stale epoch");
   if (epoch > stream_epoch_[origin]) {
     learn_authority(origin, epoch, options_.self);
-    STAB_OBS(ctr_.takeovers_observed.inc());
+    ctr_.takeovers_observed.inc();
   }
   adopted_.erase(origin);
   adopted_.try_emplace(origin, *this, origin, start_seq);
@@ -1101,7 +1092,7 @@ Status Stabilizer::observe_takeover(NodeId origin, NodeId new_primary,
   }
 
   learn_authority(origin, epoch, new_primary);
-  STAB_OBS(ctr_.takeovers_observed.inc());
+  ctr_.takeovers_observed.inc();
 
   if (origin == options_.self) {
     // We are the one being deposed. Silence ourselves: no new sends, and
@@ -1125,8 +1116,7 @@ void Stabilizer::fence_self() {
   if (self_fenced_) return;
   self_fenced_ = true;
   size_t failed = engines_[options_.self]->fail_all_waiters(kFencedSeq);
-  STAB_OBS(if (failed) ctr_.waiters_fenced.inc(failed));
-  (void)failed;
+  if (failed) ctr_.waiters_fenced.inc(failed);
 }
 
 void Stabilizer::learn_authority(NodeId origin, PrimaryEpoch epoch,
@@ -1146,8 +1136,7 @@ void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
     // stability reports jump the gap — frontier semantics are "through seq",
     // so waiters at gap seqs complete once post-takeover traffic stabilizes.
     in_[origin].restore(target);
-    STAB_OBS(
-        ctr_.failover_seqs_skipped.inc(static_cast<uint64_t>(target - cur)));
+    ctr_.failover_seqs_skipped.inc(static_cast<uint64_t>(target - cur));
     FrontierEngine& engine = *engines_[origin];
     engine.on_ack(StabilityTypeRegistry::kReceived, options_.self, target);
     reports_.note(origin, StabilityTypeRegistry::kReceived, target);
@@ -1165,10 +1154,7 @@ void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
     // the same takeover see a cursor that has legitimately progressed under
     // the new authority (observe_takeover passes allow_rollback=false).
     SeqNum down = in_[origin].reset(target);
-    STAB_OBS(
-        if (down) ctr_.failover_seqs_rolled_back.inc(
-            static_cast<uint64_t>(down)));
-    (void)down;
+    if (down) ctr_.failover_seqs_rolled_back.inc(static_cast<uint64_t>(down));
   }
 }
 
@@ -1177,50 +1163,6 @@ void Stabilizer::apply_takeover_cursor(NodeId origin, SeqNum start_seq,
 SeqNum Stabilizer::last_sent() const {
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   return own_.last_assigned();
-}
-
-StabilizerStats Stabilizer::stats() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  // Same logically-const fold as snapshot_control_state: apply undrained
-  // report cells so the eval counters reflect every report made.
-  const_cast<Stabilizer*>(this)->drain_pipeline();
-  StabilizerStats s;
-  STAB_OBS({
-    ctr_.flush_pending();
-    s.messages_sent = ctr_.messages_sent.value();
-    s.frames_transmitted = ctr_.frames_transmitted.value();
-    s.messages_delivered = ctr_.messages_delivered.value();
-    s.ack_batches_sent = ctr_.ack_batches_sent.value();
-    s.ack_entries_applied = ctr_.ack_entries_applied.value();
-    s.report_batches_sent = ctr_.report_batches_sent.value();
-    s.report_entries_applied = ctr_.report_entries_applied.value();
-    s.deferred_flushes = ctr_.deferred_flushes.value();
-    s.agg_blocks_absorbed = ctr_.agg_blocks_absorbed.value();
-    s.agg_fallback_direct = ctr_.agg_fallback_direct.value();
-    s.report_blocks_fenced = ctr_.report_blocks_fenced.value();
-    s.duplicates_dropped = ctr_.duplicates_dropped.value();
-    s.gaps_detected = ctr_.gaps_detected.value();
-    s.retransmits_sent = ctr_.retransmits_sent.value();
-    s.peer_stall_episodes = ctr_.peer_stall_episodes.value();
-    s.peer_recover_episodes = ctr_.peer_recover_episodes.value();
-    s.resumes_sent = ctr_.resumes_sent.value();
-    s.resumes_received = ctr_.resumes_received.value();
-    s.data_encodes = ctr_.data_encodes.value();
-    s.shared_sends = ctr_.shared_sends.value();
-    s.frames_coalesced = ctr_.frames_coalesced.value();
-    s.fenced_frames = ctr_.fenced_frames.value();
-    s.epoch_ahead_drops = ctr_.epoch_ahead_drops.value();
-    s.takeovers_observed = ctr_.takeovers_observed.value();
-    s.failover_seqs_skipped = ctr_.failover_seqs_skipped.value();
-    s.failover_seqs_rolled_back = ctr_.failover_seqs_rolled_back.value();
-    s.waiters_fenced = ctr_.waiters_fenced.value();
-  });
-  for (const auto& engine : engines_) {
-    s.predicate_evals += engine->predicate_evals();
-    s.evals_skipped_index += engine->evals_skipped_index();
-    s.evals_skipped_binding += engine->evals_skipped_binding();
-  }
-  return s;
 }
 
 SeqNum Stabilizer::delivered_through(NodeId origin) const {

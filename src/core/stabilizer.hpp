@@ -144,7 +144,6 @@ struct StabilizerOptions {
   /// the shard. -1 = unsharded (the default; exports unchanged).
   int shard_label = -1;
 
-#if STAB_OBS_ENABLED
   /// Opt-in message-lifecycle tracer (docs/OBSERVABILITY.md). Usually one
   /// Tracer is shared by every node of a cluster so a message's broadcast,
   /// per-peer transmits, deliveries, ack reports, and frontier fires land in
@@ -159,69 +158,6 @@ struct StabilizerOptions {
   /// together); per-node on real transports. Null (the default) records
   /// nothing and costs one branch per instrumentation site.
   std::shared_ptr<obs::LatencyProbe> probe;
-#endif
-};
-
-/// Point-in-time snapshot of a node's core counters. Since the obs layer
-/// (src/obs) landed this struct is a *compatibility view*: the authoritative
-/// values live in the node's obs::MetricsRegistry (relaxed atomics, safe to
-/// bump from transport IO threads without the API lock) and
-/// Stabilizer::stats() reads through it. In a -DSTAB_OBS=OFF build every
-/// registry-backed field reads 0; the control-plane eval counters are
-/// engine-owned plain fields and report in every build.
-struct StabilizerStats {
-  uint64_t messages_sent = 0;       // local stream messages
-  uint64_t frames_transmitted = 0;  // DATA frames put on the wire
-  uint64_t messages_delivered = 0;  // remote messages upcalled
-  // The report plane (DESIGN.md §10). Plain reports travel in REPORTBATCH
-  // frames, reports with extra bytes in ACKBATCH frames; *_batches_sent
-  // count frames put on the wire (frames x destinations), *_entries_applied
-  // the entries received. deferred_flushes counts report-plane flushes that
-  // found reports pending.
-  uint64_t ack_batches_sent = 0;
-  uint64_t ack_entries_applied = 0;
-  uint64_t report_batches_sent = 0;
-  uint64_t report_entries_applied = 0;
-  uint64_t deferred_flushes = 0;
-  uint64_t agg_blocks_absorbed = 0;    // member blocks merged by an aggregator
-  uint64_t agg_fallback_direct = 0;    // flushes that bypassed a dead aggregator
-  uint64_t report_blocks_fenced = 0;   // blocks dropped: deposed reporter
-  uint64_t duplicates_dropped = 0;
-  uint64_t gaps_detected = 0;
-  // DATA frames re-sent, for a NACK or by the retransmit probe.
-  uint64_t retransmits_sent = 0;
-  // §III-E failure-episode accounting. A stall episode opens when the
-  // peer-stall handler fires and closes when the recovered handler fires;
-  // both are exactly-once per episode, so after every fault has healed
-  // peer_recover_episodes - peer_stall_episodes is the number of peer
-  // restarts that were observed before their stall timer expired.
-  uint64_t peer_stall_episodes = 0;
-  uint64_t peer_recover_episodes = 0;
-  // Crash-restart rejoin (RESUME handshake).
-  uint64_t resumes_sent = 0;
-  uint64_t resumes_received = 0;  // includes stale-epoch duplicates
-  // Control-plane hot path (aggregated over every origin engine; see
-  // FrontierEngine's counters of the same names).
-  uint64_t predicate_evals = 0;
-  uint64_t evals_skipped_index = 0;
-  uint64_t evals_skipped_binding = 0;
-  // Data-plane fast path. frames_transmitted above stays per message per
-  // peer even when messages ride inside a DATABATCH; frames_coalesced counts
-  // how many of those transmissions were coalesced.
-  uint64_t data_encodes = 0;      // DATA/DATABATCH encode executions
-  uint64_t shared_sends = 0;      // frames handed to Transport::send_shared
-  uint64_t frames_coalesced = 0;  // message transmissions inside a batch
-  // Primary failover (epoch fencing; DESIGN.md §6). fenced_frames counts
-  // frames dropped for carrying a *stale* primary epoch (the zombie
-  // ex-primary signature); epoch_ahead_drops counts frames from a *newer*
-  // epoch than this node has learned (repaired by a NACK or the probe once
-  // the takeover announcement lands).
-  uint64_t fenced_frames = 0;
-  uint64_t epoch_ahead_drops = 0;
-  uint64_t takeovers_observed = 0;   // epoch bumps applied (adopt or observe)
-  uint64_t failover_seqs_skipped = 0;      // cursor fast-forwards at takeover
-  uint64_t failover_seqs_rolled_back = 0;  // cursor rewinds at takeover
-  uint64_t waiters_fenced = 0;       // waitfor callbacks failed with kFencedSeq
 };
 
 class Stabilizer {
@@ -248,11 +184,13 @@ class Stabilizer {
   /// thread; scheduling callbacks is the transport's thread-safety problem.
   Env& env() { return transport_.env(); }
 
-#if STAB_OBS_ENABLED
-  /// This node's metrics registry — counters/gauges/histograms the
-  /// instrumented hot paths feed and stats() reads through. Thread-safe;
-  /// takes the API lock briefly to fold batched transmit deltas into the
-  /// registry so the returned view is current.
+  /// This node's metrics registry: the counters, gauges and histograms the
+  /// instrumented hot paths feed, under the names of docs/OBSERVABILITY.md.
+  /// The one way to read the node's counters. Thread-safe; takes the API
+  /// lock briefly to fold batched transmit deltas into the registry so the
+  /// returned view is current. It does not apply undrained report cells, so
+  /// on a multi-threaded transport a counter that a drain moves may lag a
+  /// report made on another thread until the drain runs.
   obs::MetricsRegistry& metrics() const {
     std::lock_guard<std::recursive_mutex> lock(mutex_);
     ctr_.flush_pending();
@@ -266,7 +204,6 @@ class Stabilizer {
 
   /// The latency probe attached at construction (null when off).
   obs::LatencyProbe* probe() const { return probe_; }
-#endif
 
   // --- data plane -------------------------------------------------------------
   /// Sequence and stream one message of the local pool to every peer.
@@ -460,9 +397,6 @@ class Stabilizer {
   /// when it has reclaimed nothing or does not sequence that stream (a
   /// fenced own stream included).
   SeqNum reclaimed_through(NodeId origin = kInvalidNode) const;
-  /// Snapshot of the counters, with the control-plane eval counters
-  /// aggregated across every origin engine at call time.
-  StabilizerStats stats() const;
   uint64_t send_buffer_bytes() const { return own_.buffered_bytes(); }
   /// 0 for a fresh instance; a restore bumps it to snapshot epoch + 1.
   uint64_t session_epoch() const;
@@ -471,7 +405,8 @@ class Stabilizer {
   /// True while our RESUME announcement to `peer` awaits confirmation.
   bool resume_pending(NodeId peer) const;
   /// `origin`'s engine (default: own stream); throws std::out_of_range for
-  /// an origin outside the topology.
+  /// an origin outside the topology. The control-plane eval counters
+  /// (predicate_evals and the skip counts) are per engine, read here.
   FrontierEngine& engine(NodeId origin = kInvalidNode);
   const FrontierEngine& engine(NodeId origin = kInvalidNode) const;
   StabilityTypeRegistry& types() { return types_; }
@@ -530,7 +465,8 @@ class Stabilizer {
   void arm_drain();
   /// Applies every report the cells hold, in one batch per origin, until
   /// they are clean. Caller must hold mutex_; re-entrant calls (a callback
-  /// reading stats()) no-op and the outer drain loops until quiescent.
+  /// snapshotting the control state) no-op and the outer drain loops until
+  /// quiescent.
   void drain_pipeline();
   void drain_pipeline_locked();
 
@@ -589,11 +525,9 @@ class Stabilizer {
   std::shared_ptr<DrainGate> drain_gate_;
   bool draining_ = false;  // re-entrancy guard, under mutex_
 
-#if STAB_OBS_ENABLED
-  /// One relaxed-atomic counter per StabilizerStats field (plus the two core
-  /// histograms), resolved from metrics_ once at construction so the hot
-  /// paths bump references with no lookup. See docs/OBSERVABILITY.md for
-  /// the name catalog.
+  /// The node's core counters and histograms, resolved from metrics_ once
+  /// at construction so the hot paths bump references with no lookup. See
+  /// docs/OBSERVABILITY.md for the name catalog.
   struct Counters {
     obs::Counter& messages_sent;
     obs::Counter& messages_delivered;
@@ -634,7 +568,7 @@ class Stabilizer {
     // Per-frame transmit accounting is batched to keep atomic RMWs off the
     // hot path: transmit()/transmit_batch() bump these plain members (all
     // callers hold mutex_) and flush_pending() folds them into the
-    // atomic counters once per pump/probe/stats read.
+    // atomic counters once per pump, probe, report flush or metrics() read.
     uint64_t pending_messages_sent = 0;
     uint64_t pending_messages_delivered = 0;
     uint64_t pending_frames_transmitted = 0;
@@ -663,7 +597,6 @@ class Stabilizer {
     }
   }
   mutable uint64_t trace_dropped_synced_ = 0;
-#endif
 
   // The receive and send sides of the data plane and the way reports leave
   // are parts of this node: they read and write its state under mutex_.

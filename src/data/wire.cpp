@@ -3,14 +3,12 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/obs.hpp"
-
-#if STAB_OBS_ENABLED
 #include <array>
 #include <atomic>
 #include <mutex>
 #include <vector>
-#endif
+
+#include "obs/obs.hpp"
 
 namespace stab::data {
 
@@ -29,7 +27,6 @@ namespace stab::data {
 // read-modify-write and at worst re-home one in-flight batch, so live
 // scrapes remain bounded-stale while quiesced reads are exact. A thread's
 // accumulator also self-flushes when the thread exits.
-#if STAB_OBS_ENABLED
 namespace {
 
 enum WireSite : size_t {
@@ -138,38 +135,27 @@ WireAccum& wire_accum() {
   return a;
 }
 
-}  // namespace
+void wire_count(WireSite site, uint64_t nbytes) {
+  WireAccum& a = wire_accum();
+  const uint64_t n = a.ops[site].load(std::memory_order_relaxed) + 1;
+  const uint64_t b = a.bytes[site].load(std::memory_order_relaxed) + nbytes;
+  if (n >= 16) {
+    site_counters()[site].ops->inc(n);
+    site_counters()[site].bytes->inc(b);
+    a.ops[site].store(0, std::memory_order_relaxed);
+    a.bytes[site].store(0, std::memory_order_relaxed);
+  } else {
+    a.ops[site].store(n, std::memory_order_relaxed);
+    a.bytes[site].store(b, std::memory_order_relaxed);
+  }
+}
 
-#define WIRE_COUNT(site, nbytes)                                        \
-  do {                                                                  \
-    WireAccum& a_ = wire_accum();                                       \
-    const uint64_t n_ =                                                 \
-        a_.ops[site].load(std::memory_order_relaxed) + 1;               \
-    const uint64_t b_ =                                                 \
-        a_.bytes[site].load(std::memory_order_relaxed) + (nbytes);      \
-    if (n_ >= 16) {                                                     \
-      site_counters()[site].ops->inc(n_);                               \
-      site_counters()[site].bytes->inc(b_);                             \
-      a_.ops[site].store(0, std::memory_order_relaxed);                 \
-      a_.bytes[site].store(0, std::memory_order_relaxed);               \
-    } else {                                                            \
-      a_.ops[site].store(n_, std::memory_order_relaxed);                \
-      a_.bytes[site].store(b_, std::memory_order_relaxed);              \
-    }                                                                   \
-  } while (0)
+}  // namespace
 
 void flush_wire_counters() {
   std::lock_guard<std::mutex> lock(accum_list().mu);
   for (WireAccum* a : accum_list().live) a->flush_self();
 }
-
-#else
-#define WIRE_COUNT(site, nbytes) \
-  do {                           \
-  } while (0)
-
-void flush_wire_counters() {}
-#endif
 
 // Frame layouts (all integers little-endian). Every family carries a u32
 // primary epoch for failover fencing: DATA/DATABATCH stamp the epoch of the
@@ -201,7 +187,7 @@ Bytes encode_data(NodeId origin, SeqNum seq, BytesView payload,
   w.u64(virtual_size);
   w.blob(payload);
   Bytes out = std::move(w).take();
-  WIRE_COUNT(kDataEnc, out.size());
+  wire_count(kDataEnc, out.size());
   return out;
 }
 
@@ -227,7 +213,7 @@ Bytes encode(const DataBatchFrame& frame) {
     w.u64(e.virtual_size);
   }
   Bytes out = std::move(w).take();
-  WIRE_COUNT(kBatchEnc, out.size());
+  wire_count(kBatchEnc, out.size());
   return out;
 }
 
@@ -246,7 +232,7 @@ Bytes encode(const AckBatchFrame& frame) {
     w.blob(e.extra);
   }
   Bytes out = std::move(w).take();
-  WIRE_COUNT(kAckEnc, out.size());
+  wire_count(kAckEnc, out.size());
   return out;
 }
 
@@ -271,7 +257,7 @@ Bytes encode(const ReportBatchFrame& frame) {
     }
   }
   Bytes out = std::move(w).take();
-  WIRE_COUNT(kReportEnc, out.size());
+  wire_count(kReportEnc, out.size());
   return out;
 }
 
@@ -284,7 +270,7 @@ Bytes encode(const ResumeFrame& frame) {
   w.i64(frame.receive_through);
   w.u8(frame.reply ? 1 : 0);
   Bytes out = std::move(w).take();
-  WIRE_COUNT(kResumeEnc, out.size());
+  wire_count(kResumeEnc, out.size());
   return out;
 }
 
@@ -296,15 +282,15 @@ Bytes encode(const NackFrame& frame) {
   w.i64(frame.from);
   w.i64(frame.to);
   Bytes out = std::move(w).take();
-  WIRE_COUNT(kNackEnc, out.size());
+  wire_count(kNackEnc, out.size());
   return out;
 }
 
 // SHARD envelope: u8 kind (0x50) | u16 shard | inner frame bytes. The inner
 // frame is appended raw (no length prefix) — the envelope always wraps one
 // whole transport frame, so the inner extent is "the rest of the buffer".
-// Not WIRE_COUNTed: the wrapped inner frame is counted by its own codec, and
-// the mux keeps its own demux counters.
+// Not counted by wire_count: the wrapped inner frame is counted by its own
+// codec, and the mux keeps its own demux counters.
 Bytes encode_shard_frame(uint32_t shard, BytesView inner) {
   if (shard > 0xFFFF) throw CodecError("shard id exceeds u16 envelope range");
   Writer w(kShardEnvelopeBytes + inner.size());
@@ -356,7 +342,7 @@ DataFrame decode_data(BytesView frame) {
 }
 
 DataView decode_data_view(BytesView frame) {
-  WIRE_COUNT(kDataDec, frame.size());
+  wire_count(kDataDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kData))
     throw CodecError("not a DATA frame");
@@ -370,7 +356,7 @@ DataView decode_data_view(BytesView frame) {
 }
 
 DataBatchFrame decode_data_batch(BytesView frame) {
-  WIRE_COUNT(kBatchDec, frame.size());
+  wire_count(kBatchDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kDataBatch))
     throw CodecError("not a DATABATCH frame");
@@ -412,7 +398,7 @@ const uint8_t* cursor(BytesView frame, const Reader& r) {
 // (a count can claim at most what the bytes left hold), so the ranges they
 // return read the same records unchecked.
 AckBatchView decode_ack_batch_view(BytesView frame) {
-  WIRE_COUNT(kAckDec, frame.size());
+  wire_count(kAckDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kAckBatch))
     throw CodecError("not an ACKBATCH frame");
@@ -432,7 +418,7 @@ AckBatchView decode_ack_batch_view(BytesView frame) {
 }
 
 ReportBatchView decode_report_batch_view(BytesView frame) {
-  WIRE_COUNT(kReportDec, frame.size());
+  wire_count(kReportDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kReportBatch))
     throw CodecError("not a REPORTBATCH frame");
@@ -479,7 +465,7 @@ ReportBatchFrame decode_report_batch(BytesView frame) {
 }
 
 ResumeFrame decode_resume(BytesView frame) {
-  WIRE_COUNT(kResumeDec, frame.size());
+  wire_count(kResumeDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kResume))
     throw CodecError("not a RESUME frame");
@@ -493,7 +479,7 @@ ResumeFrame decode_resume(BytesView frame) {
 }
 
 NackFrame decode_nack(BytesView frame) {
-  WIRE_COUNT(kNackDec, frame.size());
+  wire_count(kNackDec, frame.size());
   Reader r(frame);
   if (r.u8() != static_cast<uint8_t>(FrameKind::kNack))
     throw CodecError("not a NACK frame");

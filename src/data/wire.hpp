@@ -374,8 +374,7 @@ NackFrame decode_nack(BytesView frame);
 /// process-wide registry (obs::global()), making the codec volume counters
 /// exact at a quiesce point — node shutdown, end-of-run export, a scrape.
 /// Callable from any thread; exact once codec traffic has stopped, bounded
-/// best-effort (one in-flight batch may slide) while it hasn't. No-op in a
-/// -DSTAB_OBS=OFF build.
+/// best-effort (one in-flight batch may slide) while it hasn't.
 void flush_wire_counters();
 
 }  // namespace stab::data

@@ -139,9 +139,9 @@ void FailoverManager::tick() {
         stab_.env().now() - last_alive_ >= options_.lease_timeout) {
       // The lease window lapsed with no liveness signal of any kind — the
       // event that opens a failover episode in the trace timeline.
-      STAB_TRACE(stab_.tracer(), stab_.env().now(),
-                 obs::SpanEvent::kLeaseExpire, self, options_.stream, kNoSeq,
-                 authority);
+      if (obs::Tracer* t = stab_.tracer())
+        t->record(stab_.env().now(), obs::SpanEvent::kLeaseExpire, self,
+                  options_.stream, kNoSeq, authority);
       start_suspicion();
     }
   }
@@ -200,9 +200,9 @@ void FailoverManager::start_suspicion() {
       std::max(suspect_cursors_[stab_.self()], cursor);
   // seq carries this mirror's delivered prefix — the cursor it campaigns
   // with; peer names the primary under suspicion.
-  STAB_TRACE(stab_.tracer(), stab_.env().now(), obs::SpanEvent::kSuspect,
-             stab_.self(), options_.stream, cursor,
-             stab_.stream_primary(options_.stream));
+  if (obs::Tracer* t = stab_.tracer())
+    t->record(stab_.env().now(), obs::SpanEvent::kSuspect, stab_.self(),
+              options_.stream, cursor, stab_.stream_primary(options_.stream));
 
   Writer w(17);
   w.u8(kSuspectKind);
@@ -301,9 +301,9 @@ void FailoverManager::apply_takeover(NodeId winner, PrimaryEpoch epoch,
     ++stats_.takeovers_applied;
     // seq is the winner's resume point (kNoSeq when learned from the PROMOTE
     // commit, before reconciliation has fixed it); peer names the winner.
-    STAB_TRACE(stab_.tracer(), stab_.env().now(),
-               obs::SpanEvent::kTakeoverApply, stab_.self(), options_.stream,
-               start_seq, winner);
+    if (obs::Tracer* t = stab_.tracer())
+      t->record(stab_.env().now(), obs::SpanEvent::kTakeoverApply,
+                stab_.self(), options_.stream, start_seq, winner);
     // The deposed node no longer participates in data/ack exchange: stop
     // sending to it and release the send-buffer floor it pinned. (Raw
     // frames — TAKEOVER in particular — still reach it so the zombie
@@ -373,8 +373,9 @@ void FailoverManager::finish_reconciliation() {
   stats_.promoted_at = stab_.env().now();
   // seq is the adopted start seq — joined against the episode-opening
   // lease_expire/suspect records this closes the promotion latency span.
-  STAB_TRACE(stab_.tracer(), stats_.promoted_at, obs::SpanEvent::kPromote,
-             stab_.self(), options_.stream, takeover_start_, stab_.self());
+  if (obs::Tracer* t = stab_.tracer())
+    t->record(stats_.promoted_at, obs::SpanEvent::kPromote, stab_.self(),
+              options_.stream, takeover_start_, stab_.self());
   broadcast_takeover();
 }
 

@@ -81,8 +81,8 @@ struct FailoverOptions {
   bool auto_exclude = true;
 };
 
-/// Plain counters — valid in STAB_OBS=OFF builds too (the registry-backed
-/// failover.* metrics mirror these when observability is compiled in).
+/// Plain counters of this manager's own protocol steps. The node's
+/// registry-backed failover.* metrics count what the core saw.
 struct FailoverStats {
   uint64_t leases_sent = 0;
   uint64_t leases_received = 0;

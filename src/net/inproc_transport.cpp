@@ -80,19 +80,13 @@ void InProcCluster::deliver(NodeId src, NodeId dst,
   InProcTransport* t = transports_[dst].get();
   // Queue-depth gauge: frames scheduled on a destination Env but not yet
   // handed to its receive handler, summed over the cluster.
-  STAB_OBS({
-    static obs::Gauge& inflight = obs::global().gauge("net.inproc.in_flight");
-    inflight.add(1);
-  });
+  static obs::Gauge& inflight = obs::global().gauge("net.inproc.in_flight");
+  inflight.add(1);
   // The queued event keeps a reference on the (possibly shared) buffer; a
   // broadcast's N deliveries all point at the same bytes.
   envs_[dst]->schedule_after(lat, [t, src, frame = std::move(frame),
                                    wire_size]() {
-    STAB_OBS({
-      static obs::Gauge& inflight =
-          obs::global().gauge("net.inproc.in_flight");
-      inflight.add(-1);
-    });
+    inflight.add(-1);
     t->dispatch(src, BytesView(*frame), wire_size);
   });
 }

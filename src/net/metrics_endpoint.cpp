@@ -1,7 +1,5 @@
 #include "net/metrics_endpoint.hpp"
 
-#if STAB_OBS_ENABLED
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -244,5 +242,3 @@ void MetricsEndpoint::handle_client(int fd) const {
 }
 
 }  // namespace stab
-
-#endif  // STAB_OBS_ENABLED

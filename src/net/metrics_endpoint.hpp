@@ -18,14 +18,7 @@
 // path. A pre-scrape hook lets the owner fold batched state (the wire
 // codec's thread-local accumulators, a probe's stale window epochs) right
 // before rendering, making a scrape a quiesce point.
-//
-// The endpoint exists only in the -DSTAB_OBS=ON flavor; the OFF build
-// compiles this header to nothing and ships no scrape surface at all.
 #pragma once
-
-#include "obs/obs.hpp"
-
-#if STAB_OBS_ENABLED
 
 #include <atomic>
 #include <cstdint>
@@ -112,5 +105,3 @@ class MetricsEndpoint {
 };
 
 }  // namespace stab
-
-#endif  // STAB_OBS_ENABLED

@@ -121,16 +121,14 @@ TcpTransport::TcpTransport(NodeId self, std::vector<TcpPeerAddr> peers,
       backoff_(peers_.size(), Duration::zero()),
       jitter_rng_(options.jitter_seed ^
                   (0x9e3779b97f4a7c15ULL * (self + 1))) {
-  STAB_OBS({
-    obs::MetricsRegistry& reg = obs::global();
-    obs_dial_attempts_ = &reg.counter("net.tcp.dial_attempts");
-    obs_connects_ = &reg.counter("net.tcp.connects");
-    obs_reconnects_ = &reg.counter("net.tcp.reconnects");
-    obs_disconnects_ = &reg.counter("net.tcp.disconnects");
-    obs_pending_dropped_ = &reg.counter("net.tcp.pending_dropped_frames");
-    obs_pending_bytes_ = &reg.gauge("net.tcp.pending_bytes");
-    obs_was_connected_.assign(peers_.size(), false);
-  });
+  obs::MetricsRegistry& reg = obs::global();
+  obs_dial_attempts_ = &reg.counter("net.tcp.dial_attempts");
+  obs_connects_ = &reg.counter("net.tcp.connects");
+  obs_reconnects_ = &reg.counter("net.tcp.reconnects");
+  obs_disconnects_ = &reg.counter("net.tcp.disconnects");
+  obs_pending_dropped_ = &reg.counter("net.tcp.pending_dropped_frames");
+  obs_pending_bytes_ = &reg.gauge("net.tcp.pending_bytes");
+  obs_was_connected_.assign(peers_.size(), false);
   env_.run_sync([this] {
     start_listen();
     // Dial the peers we are responsible for (smaller id dials larger).
@@ -160,10 +158,8 @@ void TcpTransport::shutdown() {
   listen_fd_ = -1;
   // Return this transport's buffered bytes to the process-wide gauge so
   // it reads 0 once every transport is down.
-  STAB_OBS({
-    for (size_t b : pending_bytes_)
-      if (b > 0) obs_pending_bytes_->add(-static_cast<int64_t>(b));
-  });
+  for (size_t b : pending_bytes_)
+    if (b > 0) obs_pending_bytes_->add(-static_cast<int64_t>(b));
 }
 
 void TcpTransport::set_receive_handler(ReceiveHandler handler) {
@@ -207,7 +203,7 @@ void TcpTransport::enqueue(NodeId dst, OutFrame frame) {
       c.flush_posted = c.flush_posted || post;
     } else {
       pending_bytes_[dst] += frame.size();
-      STAB_OBS(obs_pending_bytes_->add(static_cast<int64_t>(frame.size())));
+      obs_pending_bytes_->add(static_cast<int64_t>(frame.size()));
       pending_[dst].push_back(std::move(frame));  // flushed on reconnect
       enforce_pending_bound_locked(dst);
     }
@@ -270,7 +266,7 @@ void TcpTransport::dial(NodeId peer) {
   std::lock_guard<std::mutex> lock(mutex_);
   Conn& c = conns_[peer];
   if (stop_ || c.fd >= 0) return;
-  STAB_OBS(obs_dial_attempts_->inc());
+  obs_dial_attempts_->inc();
   int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   set_nodelay(fd);
   sockaddr_in sa = make_addr(peers_[peer]);
@@ -382,23 +378,21 @@ void TcpTransport::adopt(NodeId peer, int fd) {
 void TcpTransport::mark_up_locked(NodeId peer) {
   Conn& c = conns_[peer];
   backoff_[peer] = Duration::zero();  // live connection resets the backoff
-  STAB_OBS(obs_on_connected_locked(peer));
+  obs_on_connected_locked(peer);
   while (!pending_[peer].empty()) {
     pending_bytes_[peer] -= pending_[peer].front().size();
-    STAB_OBS(obs_pending_bytes_->add(
-        -static_cast<int64_t>(pending_[peer].front().size())));
+    obs_pending_bytes_->add(
+        -static_cast<int64_t>(pending_[peer].front().size()));
     c.outq.push_back(std::move(pending_[peer].front()));
     pending_[peer].pop_front();
   }
 }
 
-#if STAB_OBS_ENABLED
 void TcpTransport::obs_on_connected_locked(NodeId peer) {
   obs_connects_->inc();
   if (obs_was_connected_[peer]) obs_reconnects_->inc();
   obs_was_connected_[peer] = true;
 }
-#endif
 
 void TcpTransport::close_conn_locked(NodeId peer, const char* why) {
   Conn& c = conns_[peer];
@@ -407,7 +401,7 @@ void TcpTransport::close_conn_locked(NodeId peer, const char* why) {
                          << why << ")");
   env_.remove_fd(c.fd);
   close(c.fd);
-  STAB_OBS(obs_disconnects_->inc());
+  obs_disconnects_->inc();
   // Unsent frames go back to pending so they survive the reconnect.
   if (!c.outq.empty()) {
     // Drop the partially written frame: the peer would see a torn frame
@@ -415,8 +409,7 @@ void TcpTransport::close_conn_locked(NodeId peer, const char* why) {
     if (c.out_offset > 0) c.outq.pop_front();
     while (!c.outq.empty()) {
       pending_bytes_[peer] += c.outq.back().size();
-      STAB_OBS(obs_pending_bytes_->add(
-          static_cast<int64_t>(c.outq.back().size())));
+      obs_pending_bytes_->add(static_cast<int64_t>(c.outq.back().size()));
       pending_[peer].push_front(std::move(c.outq.back()));
       c.outq.pop_back();
     }
@@ -443,10 +436,8 @@ void TcpTransport::enforce_pending_bound_locked(NodeId peer) {
   // still goes out eventually.
   while (pending_bytes_[peer] > opts_.max_pending_bytes && q.size() > 1) {
     pending_bytes_[peer] -= q.front().size();
-    STAB_OBS({
-      obs_pending_bytes_->add(-static_cast<int64_t>(q.front().size()));
-      obs_pending_dropped_->inc();
-    });
+    obs_pending_bytes_->add(-static_cast<int64_t>(q.front().size()));
+    obs_pending_dropped_->inc();
     q.pop_front();
     ++pending_dropped_;
   }

@@ -179,7 +179,6 @@ class TcpTransport final : public Transport {
   std::map<uint64_t, Hello> hellos_;  // by accept serial
   uint64_t next_hello_ = 0;
 
-#if STAB_OBS_ENABLED
   // Process-wide transport metrics (obs::global(); see
   // docs/OBSERVABILITY.md), resolved once at construction. The counters are
   // bumped from the loop thread and from senders' threads — relaxed
@@ -193,7 +192,6 @@ class TcpTransport final : public Transport {
   obs::Gauge* obs_pending_bytes_ = nullptr;  // summed over peers (delta-kept)
   std::vector<bool> obs_was_connected_;
   void obs_on_connected_locked(NodeId peer);
-#endif
 };
 
 /// Convenience: build an n-node loopback cluster on consecutive ports

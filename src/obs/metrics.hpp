@@ -9,19 +9,17 @@
 //   * All mutation is std::memory_order_relaxed. Counters are never read to
 //     make control-flow decisions, only snapshotted for reporting, so torn
 //     or stale reads are impossible by construction (each word is a single
-//     atomic) and cross-counter skew is acceptable. This is the fix for the
-//     pre-obs StabilizerStats hazard: plain uint64_t fields bumped on the
-//     TcpTransport IO thread and read from application threads relied
-//     entirely on the core's API mutex.
+//     atomic) and cross-counter skew is acceptable. A counter bumped on a
+//     transport IO thread is therefore safe to read from any thread.
 //   * Histograms are log-bucketed with 4 linear sub-buckets per power of
 //     two (quarter-octave resolution): values 0..7 are exact, every larger
 //     bucket's upper bound is < 1.25x its lower bound, so reported
 //     percentiles over-estimate the true nearest-rank sample by at most 25%
 //     (tests/obs_test.cpp pins this against a sorted-vector oracle).
 //
-// One MetricsRegistry per Stabilizer node (its StabilizerStats compat view
-// reads through it); obs::global() is the process-wide registry used by
-// code without a node identity (the wire codec, transports by default).
+// One MetricsRegistry per Stabilizer node, the only source of its counters
+// (Stabilizer::metrics()); obs::global() is the process-wide registry used
+// by code without a node identity (the wire codec, transports by default).
 #pragma once
 
 #include <array>

@@ -1,77 +1,20 @@
-// Observability compile-out layer.
+// The observability layer every instrumented path includes: the per-node
+// metrics registry, the lifecycle tracer and the latency probe.
 //
-// Every instrumentation site in the hot paths (core data plane, control
-// plane, transports, wire codec) goes through the macros below instead of
-// calling the metrics/trace API directly. A build with STAB_OBS_ENABLED=0
-// (cmake -DSTAB_OBS=OFF) expands them to nothing: the macro arguments are
-// *not evaluated*, no obs header is included, and the translation unit ends
-// up with zero references to stab_obs symbols — verified by
-// tests/obs_disabled_test.cpp, which compiles with the flag forced to 0.
-//
-// In the default (enabled) build the cost model is:
+// Observability is always compiled in. The cost model of the hot paths:
 //   * counters / gauges  — one relaxed atomic RMW, no branches;
 //   * histograms         — one bit-scan + one relaxed atomic RMW;
-//   * trace records      — a null check; when a Tracer is attached, a mutex
-//     push of a 64-byte record (tracing is opt-in per node/cluster).
-// bench_obs_overhead quantifies all three against the compiled-out build.
+//   * trace records and probe hooks — a null check (`if (tracer_)`); when a
+//     Tracer or LatencyProbe is attached, its own cost (tracing and the
+//     probe are opt-in per node or cluster).
+// bench_obs_overhead quantifies the tracer and probe against a plain run.
 #pragma once
 
-#ifndef STAB_OBS_ENABLED
+// Observability has a single build. The define stays for code built
+// outside this tree that stops its build when it is not 1 (the perfbench
+// harness does, with #error).
 #define STAB_OBS_ENABLED 1
-#endif
-
-#if STAB_OBS_ENABLED
 
 #include "obs/latency_probe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-
-/// Execute instrumentation statements (counter bumps, gauge sets, histogram
-/// records; wrap multi-statement sites in braces). Compiles to nothing —
-/// arguments unevaluated — when observability is disabled.
-#define STAB_OBS(...)             \
-  do {                            \
-    __VA_ARGS__;                  \
-  } while (0)
-
-/// Record one lifecycle trace event iff `tracer` (a stab::obs::Tracer*) is
-/// attached and subscribed to the event. args = (t, event, node, origin,
-/// seq[, peer[, detail]]).
-#define STAB_TRACE(tracer, ...)                            \
-  do {                                                     \
-    if ((tracer) != nullptr) (tracer)->record(__VA_ARGS__); \
-  } while (0)
-
-/// True iff `tracer` is attached and wants `ev` — use to skip loops that
-/// would emit many records.
-#define STAB_TRACE_WANTS(tracer, ev) \
-  ((tracer) != nullptr && (tracer)->wants(ev))
-
-/// Invoke one LatencyProbe hook iff `probe` (a stab::obs::LatencyProbe*)
-/// is attached: STAB_PROBE(p, on_send(origin, seq, now)). Compiles to
-/// nothing — arguments unevaluated — when observability is disabled.
-#define STAB_PROBE(probe, call)                \
-  do {                                         \
-    if ((probe) != nullptr) (probe)->call;     \
-  } while (0)
-
-/// True iff `probe` is attached and samples `seq` — gate work that only
-/// matters for sampled sequences.
-#define STAB_PROBE_SAMPLED(probe, seq) \
-  ((probe) != nullptr && (probe)->sampled(seq))
-
-#else  // STAB_OBS_ENABLED == 0: everything vanishes, arguments unevaluated.
-
-#define STAB_OBS(...) \
-  do {                \
-  } while (0)
-#define STAB_TRACE(tracer, ...) \
-  do {                          \
-  } while (0)
-#define STAB_TRACE_WANTS(tracer, ev) false
-#define STAB_PROBE(probe, call) \
-  do {                          \
-  } while (0)
-#define STAB_PROBE_SAMPLED(probe, seq) false
-
-#endif  // STAB_OBS_ENABLED

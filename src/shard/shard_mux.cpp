@@ -91,7 +91,7 @@ void ShardMux::on_base_frame(NodeId src, BytesView frame, uint64_t wire_size) {
   } catch (const CodecError&) {
     // An envelope too short to name a shard: unroutable, and malformed.
     unroutable_drops_.fetch_add(1, std::memory_order_relaxed);
-    STAB_OBS(obs::global().counter("core.frames_malformed").inc());
+    obs::global().counter("core.frames_malformed").inc();
     return;
   }
   const uint64_t inner_wire = wire_size > data::kShardEnvelopeBytes

@@ -36,22 +36,18 @@ ShardedStabilizer::~ShardedStabilizer() {
 }
 
 void ShardedStabilizer::build_shards(const std::vector<Transport*>& transports) {
-#if STAB_OBS_ENABLED
   if (!options_.shard_tracers.empty() &&
       options_.shard_tracers.size() != transports.size())
     throw std::invalid_argument(
         "ShardedStabilizer: shard_tracers must be empty or one per shard");
-#endif
   shards_.reserve(transports.size());
   for (uint32_t s = 0; s < transports.size(); ++s) {
     StabilizerOptions o = options_.base;
     o.shard_label = static_cast<int>(s);
-#if STAB_OBS_ENABLED
     if (!options_.shard_tracers.empty()) {
       o.tracer = options_.shard_tracers[s];
       if (o.tracer) o.tracer->set_shard(static_cast<int32_t>(s));
     }
-#endif
     shards_.push_back(std::make_unique<Stabilizer>(std::move(o), *transports[s]));
   }
 }
@@ -244,40 +240,6 @@ ShardedStabilizer::WaitStatus ShardedStabilizer::waitfor_blocking(
   }
   control::ShardCut all(shards_.size(), seq);
   return waitfor_cut_blocking(all, std::string(parsed->base), timeout, origin);
-}
-
-StabilizerStats ShardedStabilizer::stats() const {
-  StabilizerStats total;
-  for (const auto& sh : shards_) {
-    const StabilizerStats s = sh->stats();
-    total.messages_sent += s.messages_sent;
-    total.frames_transmitted += s.frames_transmitted;
-    total.messages_delivered += s.messages_delivered;
-    total.ack_batches_sent += s.ack_batches_sent;
-    total.ack_entries_applied += s.ack_entries_applied;
-    total.report_batches_sent += s.report_batches_sent;
-    total.report_entries_applied += s.report_entries_applied;
-    total.duplicates_dropped += s.duplicates_dropped;
-    total.gaps_detected += s.gaps_detected;
-    total.retransmits_sent += s.retransmits_sent;
-    total.peer_stall_episodes += s.peer_stall_episodes;
-    total.peer_recover_episodes += s.peer_recover_episodes;
-    total.resumes_sent += s.resumes_sent;
-    total.resumes_received += s.resumes_received;
-    total.predicate_evals += s.predicate_evals;
-    total.evals_skipped_index += s.evals_skipped_index;
-    total.evals_skipped_binding += s.evals_skipped_binding;
-    total.data_encodes += s.data_encodes;
-    total.shared_sends += s.shared_sends;
-    total.frames_coalesced += s.frames_coalesced;
-    total.fenced_frames += s.fenced_frames;
-    total.epoch_ahead_drops += s.epoch_ahead_drops;
-    total.takeovers_observed += s.takeovers_observed;
-    total.failover_seqs_skipped += s.failover_seqs_skipped;
-    total.failover_seqs_rolled_back += s.failover_seqs_rolled_back;
-    total.waiters_fenced += s.waiters_fenced;
-  }
-  return total;
 }
 
 }  // namespace stab::shard

@@ -67,13 +67,11 @@ struct ShardedOptions {
   StabilizerOptions base;
   uint32_t num_shards = 1;
   ShardRouter::Mode routing = ShardRouter::Mode::kHash;
-#if STAB_OBS_ENABLED
   /// Optional per-shard tracers (size must be num_shards when non-empty):
   /// each shard's instance records through its own tracer, stamped with the
   /// shard id so merged timelines attribute per shard. When empty, every
   /// shard shares base.tracer (if any) un-stamped.
   std::vector<std::shared_ptr<obs::Tracer>> shard_tracers;
-#endif
 };
 
 class ShardedStabilizer {
@@ -177,10 +175,6 @@ class ShardedStabilizer {
   /// shard's frontier to cover seq (the min-combined frontier).
   WaitStatus waitfor_blocking(SeqNum seq, const std::string& ref,
                               Duration timeout, NodeId origin = kInvalidNode);
-
-  // --- introspection ----------------------------------------------------------
-  /// Counters summed across every shard instance.
-  StabilizerStats stats() const;
 
  private:
   void build_shards(const std::vector<Transport*>& transports);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/stabilizer.hpp"
+#include "counter_check.hpp"
 #include "net/sim_transport.hpp"
 
 namespace {
@@ -277,9 +278,7 @@ TEST(AllocBudget, AggregatorAbsorbsWithoutAllocating) {
   // One broadcast REPORTBATCH per flush: its encode and its shared_ptr.
   EXPECT_EQ(flushes, kMeasured);
   EXPECT_LE(flushing, 2 * flushes);
-#if STAB_OBS_ENABLED
-  EXPECT_GE(node.stats().agg_blocks_absorbed, kWarmup + kMeasured);
-#endif
+  EXPECT_GE(counter(node, "control.agg_blocks_absorbed"), kWarmup + kMeasured);
 }
 
 /// A mirror's flush allocates only what it encodes: one frame and its

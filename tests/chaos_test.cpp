@@ -10,7 +10,7 @@
 //   * exactly-once stall/recover episode accounting — stall and recover
 //     handlers alternate per (observer, peer) pair, recover counts are
 //     bounded by stall counts plus observed restarts, and handler counts
-//     equal the StabilizerStats episode counters;
+//     equal the nodes' episode counters;
 //   * reclamation safety — every 50 ms of virtual time and after the
 //     heal, no stream has reclaimed a seq a live destination has not
 //     delivered (tests/reclaim_check.hpp);
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/stabilizer.hpp"
+#include "counter_check.hpp"
 #include "failover/failover.hpp"
 #include "net/sim_transport.hpp"
 #include "obs/obs.hpp"
@@ -220,20 +221,14 @@ struct ChaosCluster {
             << "recover episodes beyond stalls+restarts: observer " << o
             << " peer " << p;
       }
-#if STAB_OBS_ENABLED
       if (restart_count[o] == 0) {
-        // A restarted observer's stats reset with its process; for everyone
-        // else the stats counters must equal the handler-firing counts.
-        // (Registry-backed stats read zero under -DSTAB_OBS=OFF, so the
-        // cross-check only exists in instrumented builds.)
-        StabilizerStats s = nodes[o]->stats();
-        EXPECT_EQ(s.peer_stall_episodes, stalls) << "observer " << o;
-        EXPECT_EQ(s.peer_recover_episodes, recovers) << "observer " << o;
+        // A restarted observer's counters reset with its process; for
+        // everyone else they must equal the handler-firing counts.
+        EXPECT_EQ(counter(*nodes[o], "core.peer_stall_episodes"), stalls)
+            << "observer " << o;
+        EXPECT_EQ(counter(*nodes[o], "core.peer_recover_episodes"), recovers)
+            << "observer " << o;
       }
-#else
-      (void)stalls;
-      (void)recovers;
-#endif
     }
   }
 
@@ -258,18 +253,22 @@ struct ChaosCluster {
     return os.str();
   }
 
-  /// Full state including stats — equal across two runs of the same
+  /// Full state including counters — equal across two runs of the same
   /// (seed, script, mode): the determinism guarantee.
   std::string digest() const {
     std::ostringstream os;
     os << core_digest();
     for (NodeId o = 0; o < topo_.num_nodes(); ++o) {
-      StabilizerStats s = nodes[o]->stats();
-      os << "stats" << o << " tx=" << s.frames_transmitted
-         << " rtx=" << s.retransmits_sent << " dup=" << s.duplicates_dropped
-         << " gap=" << s.gaps_detected << " stall=" << s.peer_stall_episodes
-         << " rec=" << s.peer_recover_episodes << " rs=" << s.resumes_sent
-         << " rr=" << s.resumes_received << " epoch=" << nodes[o]->session_epoch();
+      const Stabilizer& s = *nodes[o];
+      os << "stats" << o << " tx=" << counter(s, "data.frames_transmitted")
+         << " rtx=" << counter(s, "data.retransmits_sent")
+         << " dup=" << counter(s, "data.duplicates_dropped")
+         << " gap=" << counter(s, "data.gaps_detected")
+         << " stall=" << counter(s, "core.peer_stall_episodes")
+         << " rec=" << counter(s, "core.peer_recover_episodes")
+         << " rs=" << counter(s, "core.resumes_sent")
+         << " rr=" << counter(s, "core.resumes_received")
+         << " epoch=" << s.session_epoch();
       for (NodeId p = 0; p < topo_.num_nodes(); ++p)
         os << " e" << p << "=" << nodes[o]->peer_session_epoch(p);
       os << "\n";
@@ -358,13 +357,10 @@ TEST(ChaosCampaign, ScriptedCrashPartitionLossCampaignConverges) {
   EXPECT_EQ(c->node(2).session_epoch(), 1u);
   for (NodeId o : {NodeId{0}, NodeId{1}, NodeId{3}}) {
     EXPECT_EQ(c->node(o).peer_session_epoch(2), 1u) << "observer " << o;
-#if STAB_OBS_ENABLED
-    EXPECT_GT(c->node(o).stats().resumes_received, 0u) << "observer " << o;
-#endif
+    EXPECT_GT(counter(c->node(o), "core.resumes_received"), 0u)
+        << "observer " << o;
   }
-#if STAB_OBS_ENABLED
-  EXPECT_GT(c->node(2).stats().resumes_sent, 0u);
-#endif
+  EXPECT_GT(counter(c->node(2), "core.resumes_sent"), 0u);
 
   // Exactly one stall -> recover episode per affected (observer, peer)
   // pair: 0,1 observe the crash of 2 and the partition of 3; 3 observes
@@ -383,10 +379,8 @@ TEST(ChaosCampaign, ScriptedCrashPartitionLossCampaignConverges) {
 
   // The campaign stressed what it claims to stress: the partition forced
   // re-sends, and node 2 received its peers' RESUME replies.
-#if STAB_OBS_ENABLED
-  EXPECT_GT(c->node(0).stats().retransmits_sent, 0u);
-  EXPECT_GT(c->node(2).stats().resumes_received, 0u);
-#endif
+  EXPECT_GT(counter(c->node(0), "data.retransmits_sent"), 0u);
+  EXPECT_GT(counter(c->node(2), "core.resumes_received"), 0u);
   for (NodeId o = 0; o < c->num_nodes(); ++o)
     EXPECT_FALSE(c->node(o).resume_pending(2)) << "observer " << o;
 }
@@ -398,13 +392,10 @@ TEST(ChaosCampaign, ScriptedCampaignIsDeterministicPerSeed) {
 
   auto other = run_scripted(0xBADF00D, DispatchMode::kIndexed);
   other->check_converged();  // different seed: same invariants...
-#if STAB_OBS_ENABLED
-  // ...different execution. The divergence shows up in the stats half of
+  // ...different execution. The divergence shows up in the counter half of
   // the digest (retransmit/duplicate counts follow the loss RNG); the core
-  // half converges to the same post-heal state by design, so this check
-  // needs the instrumented build.
+  // half converges to the same post-heal state by design.
   EXPECT_NE(a->digest(), other->digest());
-#endif
 }
 
 TEST(ChaosCampaign, LegacyScanAgreesWithIndexedPostHeal) {
@@ -423,18 +414,15 @@ TEST(ChaosCampaign, LegacyScanAgreesWithIndexedPostHeal) {
 // crash/restart rejoin + partition) lands on the same post-heal core digest
 // at a 20 ms ack_interval as at the default 2 ms, per seed.
 
-#if STAB_OBS_ENABLED
 /// Report frames of both kinds sent by the nodes still alive at the end (a
-/// restart resets a node's stats).
+/// restart resets a node's counters).
 uint64_t report_frames(ChaosCluster& c) {
   uint64_t frames = 0;
-  for (NodeId o = 0; o < c.num_nodes(); ++o) {
-    const StabilizerStats s = c.node(o).stats();
-    frames += s.ack_batches_sent + s.report_batches_sent;
-  }
+  for (NodeId o = 0; o < c.num_nodes(); ++o)
+    frames += counter(c.node(o), "control.ack_batches_sent") +
+              counter(c.node(o), "control.report_batches_sent");
   return frames;
 }
-#endif
 
 TEST(ChaosCampaign, DeferredAgreesWithImmediatePostHeal) {
   StabilizerOptions deferred = chaos_base_options();
@@ -449,11 +437,9 @@ TEST(ChaosCampaign, DeferredAgreesWithImmediatePostHeal) {
   auto again = run_scripted(0xC0FFEE, DispatchMode::kIndexed, deferred);
   EXPECT_EQ(d->core_digest(), again->core_digest());
 
-#if STAB_OBS_ENABLED
   // The 20 ms run genuinely coalesced: fewer report frames moved.
   EXPECT_GT(report_frames(*d), 0u);
   EXPECT_LT(report_frames(*d), report_frames(*imm));
-#endif
 }
 
 // Aggregated mesh: r0={n0,n1} with n0 aggregating, r1={n2,n3} with n2
@@ -487,19 +473,17 @@ TEST(ChaosCampaign, DeferredAggregatedAgreesAndBypassesDeadAggregator) {
   auto again = run_agg_scripted(0xC0FFEE, agg);
   EXPECT_EQ(aggregated->core_digest(), again->core_digest());
 
-#if STAB_OBS_ENABLED
   // n0 merged its member's (n1's) reports into long-haul flushes.
-  EXPECT_GT(aggregated->node(0).stats().agg_blocks_absorbed, 0u);
+  EXPECT_GT(counter(aggregated->node(0), "control.agg_blocks_absorbed"), 0u);
   // n3 kept reporting while its aggregator n2 was crashed (t=5s..20s) by
   // falling back to direct fan-out — reports bypass a dead aggregator.
-  EXPECT_GT(aggregated->node(3).stats().agg_fallback_direct, 0u);
-  // After n2's rejoin the AZ merge resumed: n2's post-restart stats count
-  // fresh absorbed blocks from n3 (traffic runs until t=24s).
-  EXPECT_GT(aggregated->node(2).stats().agg_blocks_absorbed, 0u);
+  EXPECT_GT(counter(aggregated->node(3), "control.agg_fallback_direct"), 0u);
+  // After n2's rejoin the AZ merge resumed: n2's post-restart counters
+  // count fresh absorbed blocks from n3 (traffic runs until t=24s).
+  EXPECT_GT(counter(aggregated->node(2), "control.agg_blocks_absorbed"), 0u);
   // Without the option nothing is absorbed, even with aggregators named.
   for (NodeId o = 0; o < direct->num_nodes(); ++o)
-    EXPECT_EQ(direct->node(o).stats().agg_blocks_absorbed, 0u);
-#endif
+    EXPECT_EQ(counter(direct->node(o), "control.agg_blocks_absorbed"), 0u);
 }
 
 // Small-frame coalescing changes the wire-level framing (kDataBatch) and the
@@ -517,12 +501,10 @@ TEST(ChaosCampaign, CoalescedCampaignHoldsInvariantsAcrossDispatchModes) {
 
   // The crash-rejoin's RESUME rewind pumps a run of consecutive slots
   // through one flush, so the campaign genuinely exercises batching.
-#if STAB_OBS_ENABLED
   uint64_t coalesced_frames = 0;
   for (NodeId o = 0; o < indexed->num_nodes(); ++o)
-    coalesced_frames += indexed->node(o).stats().frames_coalesced;
+    coalesced_frames += counter(indexed->node(o), "data.frames_coalesced");
   EXPECT_GT(coalesced_frames, 0u);
-#endif
 
   // Post-convergence application state is framing-independent: the same
   // campaign without coalescing lands on the identical core digest.
@@ -531,8 +513,6 @@ TEST(ChaosCampaign, CoalescedCampaignHoldsInvariantsAcrossDispatchModes) {
 }
 
 // --- observability of a campaign ----------------------------------------------
-
-#if STAB_OBS_ENABLED
 
 /// Deterministic observability artifacts of one scripted campaign: per-node
 /// metrics (node<N>.-prefixed) plus a cluster-wide merged frontier-lag
@@ -648,8 +628,6 @@ TEST(ChaosObs, CampaignEmitsFrontierLagAndByteIdenticalTracePerSeed) {
   write_artifact("chaos_obs_trace.jsonl", a.trace);
   write_artifact("chaos_obs_probe.jsonl", a.probe);
 }
-
-#endif  // STAB_OBS_ENABLED
 
 // --- random campaigns ---------------------------------------------------------
 
@@ -770,15 +748,11 @@ TEST(ChaosResume, DuplicateAndSpoofedResumesAreIgnored) {
   EXPECT_EQ(c.node(0).peer_session_epoch(1), 5u);
   EXPECT_EQ(c.node(0).peer_session_epoch(0), 0u);
   EXPECT_EQ(c.recover_count[0][1], 1u);
-#if STAB_OBS_ENABLED
-  EXPECT_EQ(c.node(0).stats().resumes_received, 3u);
-#endif
+  EXPECT_EQ(counter(c.node(0), "core.resumes_received"), 3u);
 }
 
-// Satellite: retransmit_check surfaces the retransmits_sent /
-// duplicates_dropped pair — a loss campaign must be debuggable from stats.
-// Stats-only test: meaningless when the obs layer is compiled out.
-#if STAB_OBS_ENABLED
+// retransmit_check surfaces the retransmits_sent / duplicates_dropped pair —
+// a loss campaign must be debuggable from the node's counters.
 TEST(ChaosStats, LossCampaignSurfacesRetransmitPair) {
   ChaosCluster c(chaos_mesh(2, {"r0", "r1"}), chaos_base_options(), 99,
                  DispatchMode::kIndexed, chaos_predicates());
@@ -792,12 +766,11 @@ TEST(ChaosStats, LossCampaignSurfacesRetransmitPair) {
   c.check_converged();
   // Sender re-sent lost frames; the probe's overshoot surfaced at the
   // receiver as dropped stale duplicates.
-  EXPECT_GT(c.node(0).stats().retransmits_sent, 0u);
-  EXPECT_GT(c.node(1).stats().duplicates_dropped, 0u);
-  EXPECT_EQ(c.node(0).stats().peer_stall_episodes, 0u)
+  EXPECT_GT(counter(c.node(0), "data.retransmits_sent"), 0u);
+  EXPECT_GT(counter(c.node(1), "data.duplicates_dropped"), 0u);
+  EXPECT_EQ(counter(c.node(0), "core.peer_stall_episodes"), 0u)
       << "plain loss must not look like a crash";
 }
-#endif  // STAB_OBS_ENABLED
 
 // --- sharded campaigns (DESIGN.md §9) -----------------------------------------
 //

@@ -257,20 +257,20 @@ TEST_F(FrontierTest, AutoRegistersCustomTypes) {
 
 TEST_F(FrontierTest, IncrementalSkipsUnrelatedPredicates) {
   ASSERT_TRUE(engine_.register_predicate("oregon", "MAX($AZ_Oregon)"));
-  uint64_t evals = engine_.evaluations();
+  uint64_t evals = engine_.predicate_evals();
   // Acks from a node the predicate doesn't reference: no evaluation.
   engine_.on_ack(0, 2, 5);
-  EXPECT_EQ(engine_.evaluations(), evals);
+  EXPECT_EQ(engine_.predicate_evals(), evals);
   engine_.on_ack(0, 6, 5);  // node 7 = Oregon
-  EXPECT_EQ(engine_.evaluations(), evals + 1);
+  EXPECT_EQ(engine_.predicate_evals(), evals + 1);
 }
 
 TEST_F(FrontierTest, StaleAckDoesNothing) {
   ASSERT_TRUE(engine_.register_predicate("one", "MAX($ALLWNODES-$MYWNODE)"));
   EXPECT_TRUE(engine_.on_ack(0, 1, 10));
-  uint64_t evals = engine_.evaluations();
+  uint64_t evals = engine_.predicate_evals();
   EXPECT_FALSE(engine_.on_ack(0, 1, 4));
-  EXPECT_EQ(engine_.evaluations(), evals);
+  EXPECT_EQ(engine_.predicate_evals(), evals);
 }
 
 TEST_F(FrontierTest, MultipleMonitors) {

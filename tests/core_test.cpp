@@ -16,6 +16,7 @@
 #include <tuple>
 
 #include "core/stabilizer.hpp"
+#include "counter_check.hpp"
 #include "net/inproc_transport.hpp"
 #include "net/sim_transport.hpp"
 
@@ -141,18 +142,12 @@ TEST(Core, AckBatchingCoalesces) {
   SimFixture f(tiny_topology(2, 5));
   for (int i = 0; i < 100; ++i) f.node(0).send(to_bytes("m"));
   f.sim.run();
-  // Registry-backed stats read zero when the obs layer is compiled out
-  // (-DSTAB_OBS=OFF), so stats introspection is gated; the semantic
-  // assertions around it run in every build flavor.
-#if STAB_OBS_ENABLED
   // Plain reports ride REPORTBATCH; only reports with extra bytes would
   // need ACKBATCH.
-  const StabilizerStats st = f.node(1).stats();
-  EXPECT_EQ(st.messages_delivered, 100u);
-  EXPECT_EQ(st.ack_batches_sent, 0u);
-  EXPECT_GT(st.report_batches_sent, 0u);
-  EXPECT_LT(st.report_batches_sent, 30u);
-#endif
+  EXPECT_EQ(counter(f.node(1), "core.messages_delivered"), 100u);
+  EXPECT_EQ(counter(f.node(1), "control.ack_batches_sent"), 0u);
+  EXPECT_GT(counter(f.node(1), "control.report_batches_sent"), 0u);
+  EXPECT_LT(counter(f.node(1), "control.report_batches_sent"), 30u);
   // ... and the sender still learned the final frontier exactly.
   EXPECT_EQ(f.node(0)
                 .engine()
@@ -291,9 +286,7 @@ TEST(Core, LossyLinkRecoveredByRetransmission) {
 
   ASSERT_EQ(delivered.size(), static_cast<size_t>(kCount));
   for (int i = 0; i < kCount; ++i) EXPECT_EQ(delivered[i], i);
-#if STAB_OBS_ENABLED
-  EXPECT_GT(f.node(0).stats().retransmits_sent, 0u);
-#endif
+  EXPECT_GT(counter(f.node(0), "data.retransmits_sent"), 0u);
   EXPECT_EQ(f.node(1).delivered_through(0), kCount - 1);
 }
 
@@ -340,13 +333,15 @@ TEST(Core, EncodeOncePerBroadcastEvenUnderRetransmission) {
       seconds(120));
   ASSERT_TRUE(ok);
 
-#if STAB_OBS_ENABLED
-  StabilizerStats s = f.node(0).stats();
-  EXPECT_GT(s.retransmits_sent, 0u);  // the lossy links forced re-sends
-  EXPECT_GT(s.frames_transmitted, static_cast<uint64_t>(kCount) * 4);
-  EXPECT_EQ(s.data_encodes, static_cast<uint64_t>(kCount));
-  EXPECT_GE(s.shared_sends, s.frames_transmitted);  // data + acks, all shared
-#endif
+  const Stabilizer& n0 = f.node(0);
+  // The lossy links forced re-sends.
+  EXPECT_GT(counter(n0, "data.retransmits_sent"), 0u);
+  EXPECT_GT(counter(n0, "data.frames_transmitted"),
+            static_cast<uint64_t>(kCount) * 4);
+  EXPECT_EQ(counter(n0, "data.encodes"), static_cast<uint64_t>(kCount));
+  // Data and acks, all shared.
+  EXPECT_GE(counter(n0, "data.shared_sends"),
+            counter(n0, "data.frames_transmitted"));
 }
 
 /// Origin 0's stream as a data-path test input, streamed to `mirrors`
@@ -416,16 +411,16 @@ TEST(Core, CoalescingPreservesFifoAndFrontiers) {
     }
     EXPECT_EQ(c.sender().get_stability_frontier("all", 0), kCount - 1);
 
-#if STAB_OBS_ENABLED
-    StabilizerStats s = c.sender().stats();
     // The burst was sent in one event-loop turn, so nearly everything rode
     // in batches; per-message accounting is unchanged.
-    EXPECT_GT(s.frames_coalesced, static_cast<uint64_t>(kCount));
-    EXPECT_EQ(s.frames_transmitted, static_cast<uint64_t>(kCount) * 2);
+    EXPECT_GT(counter(c.sender(), "data.frames_coalesced"),
+              static_cast<uint64_t>(kCount));
+    EXPECT_EQ(counter(c.sender(), "data.frames_transmitted"),
+              static_cast<uint64_t>(kCount) * 2);
     // Far fewer encodes than messages: batches of up to 16, each encoded
     // once for both peers.
-    EXPECT_LT(s.data_encodes, static_cast<uint64_t>(kCount) / 2);
-#endif
+    EXPECT_LT(counter(c.sender(), "data.encodes"),
+              static_cast<uint64_t>(kCount) / 2);
   }
 }
 
@@ -452,11 +447,8 @@ TEST(Core, CoalescingRespectsByteBoundAndLargePayloads) {
     if (sizes[i] == 4096) ++big_seen;
   }
   EXPECT_EQ(big_seen, 3u);
-#if STAB_OBS_ENABLED
-  StabilizerStats s = f.node(0).stats();
-  EXPECT_GT(s.frames_coalesced, 0u);
-  EXPECT_EQ(s.frames_transmitted, 33u);
-#endif
+  EXPECT_GT(counter(f.node(0), "data.frames_coalesced"), 0u);
+  EXPECT_EQ(counter(f.node(0), "data.frames_transmitted"), 33u);
 }
 
 TEST(Core, SendWindowLimitsInFlight) {
@@ -465,9 +457,7 @@ TEST(Core, SendWindowLimitsInFlight) {
   SimFixture f(tiny_topology(2, 10), base);
   for (int i = 0; i < 20; ++i) f.node(0).send(to_bytes("m"));
   // Only the window's worth of frames may be on the wire before any ack.
-#if STAB_OBS_ENABLED
-  EXPECT_EQ(f.node(0).stats().frames_transmitted, 4u);
-#endif
+  EXPECT_EQ(counter(f.node(0), "data.frames_transmitted"), 4u);
   // As acks flow back the rest drain; everything is delivered in order.
   std::vector<SeqNum> got;
   f.node(1).set_delivery_handler(
@@ -475,9 +465,7 @@ TEST(Core, SendWindowLimitsInFlight) {
   f.sim.run();
   ASSERT_EQ(got.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got[i], i);
-#if STAB_OBS_ENABLED
-  EXPECT_EQ(f.node(0).stats().frames_transmitted, 20u);
-#endif
+  EXPECT_EQ(counter(f.node(0), "data.frames_transmitted"), 20u);
 }
 
 TEST(Core, SendWindowIsPerPeer) {
@@ -503,9 +491,7 @@ TEST(Core, SendWindowIsPerPeer) {
       // The sender transmitted all 10 DATA frames to the healthy mirror but
       // only the 2-message window toward the dead one (dropped frames also
       // include ack batches aimed at it, so count transmissions, not drops).
-#if STAB_OBS_ENABLED
-      EXPECT_EQ(c.sender().stats().frames_transmitted, 12u);
-#endif
+      EXPECT_EQ(counter(c.sender(), "data.frames_transmitted"), 12u);
     }
   }
 }
@@ -538,18 +524,47 @@ TEST(Core, WindowedAndUnwindowedDeliverIdentically) {
   }
 }
 
-#if STAB_OBS_ENABLED
-TEST(Core, StatsAreCoherent) {
+TEST(Core, CountersAreCoherent) {
   SimFixture f(tiny_topology(3));
   for (int i = 0; i < 10; ++i) f.node(0).send(to_bytes("x"));
   f.sim.run();
-  const auto& st = f.node(0).stats();
-  EXPECT_EQ(st.messages_sent, 10u);
-  EXPECT_EQ(st.frames_transmitted, 20u);  // 10 msgs x 2 peers
-  EXPECT_EQ(f.node(1).stats().messages_delivered, 10u);
-  EXPECT_GT(st.report_entries_applied, 0u);
+  EXPECT_EQ(counter(f.node(0), "core.messages_sent"), 10u);
+  // 10 msgs x 2 peers.
+  EXPECT_EQ(counter(f.node(0), "data.frames_transmitted"), 20u);
+  EXPECT_EQ(counter(f.node(1), "core.messages_delivered"), 10u);
+  EXPECT_GT(counter(f.node(0), "control.report_entries_applied"), 0u);
 }
-#endif  // STAB_OBS_ENABLED
+
+// The strict counter() helper fails on a name the registry does not hold,
+// so every core counter must exist from construction on, reading 0, not
+// only once its first event has happened.
+TEST(Core, RegistryRegistersEveryCounterAtConstruction) {
+  SimFixture f(tiny_topology(2));
+  const obs::MetricsRegistry& m = f.node(0).metrics();
+  for (const char* name :
+       {"core.messages_sent", "core.messages_delivered",
+        "core.peer_stall_episodes", "core.peer_recover_episodes",
+        "core.resumes_sent", "core.resumes_received", "core.frames_malformed",
+        "data.frames_transmitted", "data.duplicates_dropped",
+        "data.gaps_detected", "data.retransmits_sent", "data.nacks_sent",
+        "data.nacks_dropped", "data.encodes", "data.shared_sends",
+        "data.frames_coalesced", "control.ack_batches_sent",
+        "control.ack_bytes_sent", "control.ack_entries_applied",
+        "control.report_batches_sent", "control.report_bytes_sent",
+        "control.report_entries_applied", "control.deferred_flushes",
+        "control.agg_blocks_absorbed", "control.agg_fallback_direct",
+        "control.report_blocks_fenced", "failover.fenced_frames",
+        "failover.epoch_ahead_drops", "failover.takeovers_observed",
+        "failover.seqs_skipped", "failover.seqs_rolled_back",
+        "failover.waiters_fenced"}) {
+    const obs::Counter* c = m.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), 0u) << name;
+  }
+  for (const char* name : {"data.batch_frames", "control.ack_flush_entries",
+                           "control.report_flush_entries"})
+    EXPECT_NE(m.find_histogram(name), nullptr) << name;
+}
 
 TEST(Core, SendLargeEdgeCases) {
   SimFixture f(tiny_topology(2));
@@ -771,10 +786,7 @@ TEST(Core, MalformedFramesAreDroppedAndCounted) {
   for (const Bytes& frame : frames) f.cluster->transport(1).send(0, frame);
   f.sim.run();
   EXPECT_EQ(state(), before);
-#if STAB_OBS_ENABLED
-  EXPECT_EQ(s.metrics().counter("core.frames_malformed").value(),
-            frames.size());
-#endif
+  EXPECT_EQ(counter(s, "core.frames_malformed"), frames.size());
   s.send(to_bytes("after"));
   f.sim.run();
   EXPECT_EQ(s.get_stability_frontier("all"), 1);
@@ -958,9 +970,7 @@ TEST(ReportPlane, AbsorbMaxMerges) {
   EXPECT_EQ(f.blocks[0].reporter, 2u);
   EXPECT_EQ(f.blocks[0].primary_epoch, 5u);  // epoch max-merged too
   EXPECT_EQ(entries_of(f.blocks[0]), (Entries{{0, 0, 12}, {1, 1, 2}}));
-#if STAB_OBS_ENABLED
-  EXPECT_EQ(c.node->stats().agg_blocks_absorbed, 2u);
-#endif
+  EXPECT_EQ(counter(*c.node, "control.agg_blocks_absorbed"), 2u);
 }
 
 // Hostile input at the aggregator: a member's block may name a type this
@@ -993,9 +1003,7 @@ TEST(ReportPlane, MirrorRoutesThroughUsableAggregator) {
   ASSERT_TRUE(c.node->report_stability("persisted", 3, 2));
   c.flush_to(0);
   EXPECT_EQ(c.wire.sent.size(), 2u);  // to n2 and n3
-#if STAB_OBS_ENABLED
-  EXPECT_EQ(c.node->stats().agg_fallback_direct, 1u);
-#endif
+  EXPECT_EQ(counter(*c.node, "control.agg_fallback_direct"), 1u);
 }
 
 // --- selective-repeat receive stream (DESIGN.md §4d) ----------------------------
@@ -1045,12 +1053,6 @@ struct RxCase {
   Log log;
 };
 
-#if STAB_OBS_ENABLED
-uint64_t counter(Stabilizer& s, const char* name) {
-  return s.metrics().counter(name).value();
-}
-#endif
-
 TEST(InStream, HeldFramesDeliverInOrderWhenTheHoleFills) {
   RxCase c;
   c.data(0);
@@ -1076,9 +1078,7 @@ TEST(InStream, DataBatchSpanningTheHoleFillsItAndIsHeldPastIt) {
   EXPECT_EQ(c.log.size(), 5u);
   c.data(5);
   EXPECT_EQ(c.log, (Log{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}));
-#if STAB_OBS_ENABLED
   EXPECT_EQ(counter(c.f.node(1), "data.duplicates_dropped"), 1u);
-#endif
 }
 
 TEST(InStream, NothingIsHeldPastRetransmitWindow) {
@@ -1100,10 +1100,8 @@ TEST(InStream, DuplicateOfAHeldFrameIsDroppedAndCounted) {
   c.data(2);
   c.data(1);
   EXPECT_EQ(c.log, (Log{"m0", "m1", "m2"}));
-#if STAB_OBS_ENABLED
   EXPECT_EQ(counter(c.f.node(1), "data.duplicates_dropped"), 1u);
   EXPECT_EQ(counter(c.f.node(1), "data.gaps_detected"), 1u);
-#endif
 }
 
 // Held frames came from the old authority: a takeover discards them, so the
@@ -1156,10 +1154,8 @@ TEST(InStream, NewEpochDiscardsHeldFramesWhateverTheCursorDoes) {
     c.data(2, 1, 2, "new2");
     c.data(1, 1, 2, "new1");
     EXPECT_EQ(c.log, (Log{"m0", "new1", "new2"}));
-#if STAB_OBS_ENABLED
     EXPECT_EQ(counter(c.f.node(1), "data.duplicates_dropped"), 0u);
     EXPECT_EQ(counter(c.f.node(1), "data.nacks_sent"), 2u);
-#endif
   }
 }
 
@@ -1193,12 +1189,10 @@ TEST(InStream, OneNackPerNewHoleAndTheResendFillsIt) {
   f.sim.run();
   EXPECT_EQ(log, (std::vector<SeqNum>{0, 1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(f.node(2).delivered_through(0), 6);
-#if STAB_OBS_ENABLED
   EXPECT_EQ(counter(f.node(1), "data.nacks_sent"), 2u);
   EXPECT_EQ(counter(f.node(2), "data.nacks_sent"), 0u);
   EXPECT_EQ(counter(f.node(0), "data.retransmits_sent"), 3u);
   EXPECT_EQ(counter(f.node(0), "data.nacks_dropped"), 0u);
-#endif
 }
 
 TEST(InStream, LosslessRunSendsNoNack) {
@@ -1215,17 +1209,14 @@ TEST(InStream, LosslessRunSendsNoNack) {
         EXPECT_EQ(f.node(n).delivered_through(o), 49);
       }
     }
-#if STAB_OBS_ENABLED
   for (NodeId n = 0; n < 3; ++n) {
     EXPECT_EQ(counter(f.node(n), "data.nacks_sent"), 0u) << "node " << n;
     EXPECT_EQ(counter(f.node(n), "data.gaps_detected"), 0u) << "node " << n;
     EXPECT_EQ(counter(f.node(n), "data.retransmits_sent"), 0u)
         << "node " << n;
   }
-#endif
 }
 
-#if STAB_OBS_ENABLED
 // A NACK resends only from a stream this node sequences, under its current
 // epoch, to one of its destinations, and never more than the buffer, what
 // the peer was sent and retransmit_window allow.
@@ -1262,7 +1253,6 @@ TEST(InStream, NackHandlerRefusesAndClampsHostileRanges) {
   EXPECT_EQ(resent(), 4u);
   EXPECT_EQ(f.node(1).delivered_through(0), 9);
 }
-#endif
 
 // --- real-time (in-process) ----------------------------------------------------
 
@@ -1395,19 +1385,19 @@ TEST(Core, ReentrantRegistrationMatchesLegacyScan) {
   }
 }
 
-TEST(Core, StatsExposeControlPlaneEvalCounters) {
+TEST(Core, EngineExposesControlPlaneEvalCounters) {
   SimFixture f(tiny_topology(3));
   ASSERT_TRUE(f.node(0).register_predicate("all", "MIN($ALLWNODES)"));
   ASSERT_TRUE(f.node(0).register_predicate("one", "MAX($1)"));
   for (int i = 0; i < 20; ++i) f.node(0).send(to_bytes("m"));
   f.sim.run();
-  StabilizerStats st = f.node(0).stats();
-  EXPECT_GT(st.predicate_evals, 0u);
+  const FrontierEngine& engine = f.node(0).engine();
+  EXPECT_GT(engine.predicate_evals(), 0u);
   // "one" references only node 1's cell: every report about other nodes is
   // index-skipped for it.
-  EXPECT_GT(st.evals_skipped_index, 0u);
+  EXPECT_GT(engine.evals_skipped_index(), 0u);
   // MAX predicates bound by the frontier skip provably no-op evals.
-  EXPECT_GT(st.evals_skipped_binding, 0u);
+  EXPECT_GT(engine.evals_skipped_binding(), 0u);
   EXPECT_EQ(f.node(0).get_stability_frontier("all"), 19);
 }
 

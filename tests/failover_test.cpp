@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/stabilizer.hpp"
+#include "counter_check.hpp"
 #include "failover/failover.hpp"
 #include "net/sim_transport.hpp"
 #include "reclaim_check.hpp"
@@ -479,10 +480,9 @@ TEST(Failover, KillPrimaryPromotesExactlyOneMirrorAndContinuesStream) {
   EXPECT_GT(c.manager(winner).stats().promoted_at,
             c.manager(winner).stats().suspected_at);
 
-#if STAB_OBS_ENABLED
   for (NodeId id = 1; id < c.num_nodes(); ++id)
-    EXPECT_GE(c.node(id).stats().takeovers_observed, 1u) << "node " << id;
-#endif
+    EXPECT_GE(counter(c.node(id), "failover.takeovers_observed"), 1u)
+        << "node " << id;
 }
 
 // Every mirror loses one stream message shortly before the primary dies
@@ -514,9 +514,8 @@ TEST(Failover, FramesHeldFromTheDeadPrimaryNeverDeliver) {
   c.sim.schedule_at(millis(2017), [&] {
     for (NodeId id = 1; id < c.num_nodes(); ++id) {
       EXPECT_EQ(c.node(id).delivered_through(0), hole - 1) << "node " << id;
-#if STAB_OBS_ENABLED
-      EXPECT_EQ(c.node(id).stats().gaps_detected, 1u) << "node " << id;
-#endif
+      EXPECT_EQ(counter(c.node(id), "data.gaps_detected"), 1u)
+          << "node " << id;
     }
   });
   c.sim.schedule_at(from_sec(5), [&c] { c.adjust_predicates_for_dead(0); });
@@ -542,13 +541,12 @@ TEST(Failover, KillPrimaryWithCoalescingAndWindow) {
   c.check_waits_resolved();
   for (const ParkedWait& w : c.waits) EXPECT_GE(w.result, w.target);
 
-#if STAB_OBS_ENABLED
   // The winner's post-takeover bursts rode DATABATCH frames.
   for (NodeId id = 1; id < c.num_nodes(); ++id) {
     if (!c.manager(id).promoted()) continue;
-    EXPECT_GT(c.node(id).stats().frames_coalesced, 0u) << "node " << id;
+    EXPECT_GT(counter(c.node(id), "data.frames_coalesced"), 0u)
+        << "node " << id;
   }
-#endif
 }
 
 TEST(Failover, KillPrimaryCampaignIsDeterministicPerSeed) {
@@ -662,15 +660,13 @@ TEST(Failover, HealedZombiePrimaryIsFencedAndSelfFences) {
   EXPECT_TRUE(late_fired);
   EXPECT_EQ(late_result, kFencedSeq);
 
-#if STAB_OBS_ENABLED
   // The zombie's post-heal retransmissions carried epoch 0 and were
   // dropped + counted at the survivors.
   uint64_t fenced = 0;
   for (NodeId id = 1; id < c.num_nodes(); ++id)
-    fenced += c.node(id).stats().fenced_frames;
+    fenced += counter(c.node(id), "failover.fenced_frames");
   EXPECT_GT(fenced, 0u);
-  EXPECT_GE(c.node(0).stats().waiters_fenced, 1u);
-#endif
+  EXPECT_GE(counter(c.node(0), "failover.waiters_fenced"), 1u);
 
   // Survivors converged on the winner's stream end; none of the zombie's
   // partition-era seqs leaked in (logs are duplicate-free and agree).

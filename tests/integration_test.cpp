@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "backup/backup_service.hpp"
+#include "counter_check.hpp"
 #include "kv/wan_kv.hpp"
 #include "net/sim_transport.hpp"
 #include "net/tcp_transport.hpp"
@@ -55,12 +56,10 @@ TEST(TcpIntegration, FullStackOverRealSockets) {
   EXPECT_TRUE(
       nodes[0]->waitfor_blocking(9, "verified_everywhere", seconds(10)));
   EXPECT_EQ(nodes[0]->get_stability_frontier("verified_everywhere"), 9);
-#if STAB_OBS_ENABLED
   // After each node's first report registered "verified", the upcalls'
   // plain reports rode the lock-free report cells.
   for (NodeId n = 1; n < 3; ++n)
-    EXPECT_GT(nodes[n]->metrics().counter("pipeline.cell_acks").value(), 0u);
-#endif
+    EXPECT_GT(counter(*nodes[n], "pipeline.cell_acks"), 0u);
 
   nodes.clear();
   for (auto& t : transports) t->shutdown();
@@ -91,11 +90,9 @@ TEST(TcpIntegration, TruncatedFrameIsDroppedNotFatal) {
   t0.send(1, Bytes{1, 0, 0});
   const SeqNum seq = nodes[0]->send(to_bytes("after"));
   EXPECT_TRUE(nodes[0]->waitfor_blocking(seq, "all", seconds(10)));
-#if STAB_OBS_ENABLED
   // Same connection, FIFO: node 1 read the bad frame before the message it
   // acknowledged.
-  EXPECT_EQ(nodes[1]->metrics().counter("core.frames_malformed").value(), 1u);
-#endif
+  EXPECT_EQ(counter(*nodes[1], "core.frames_malformed"), 1u);
   nodes.clear();
   t0.shutdown();
   t1.shutdown();

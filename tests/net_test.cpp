@@ -579,8 +579,6 @@ TEST(Tcp, HostileFramesCloseOnlyTheirConnection) {
   for (const std::string& g : got) EXPECT_EQ(g.rfind("0:", 0), std::string::npos) << g;
 }
 
-#if STAB_OBS_ENABLED
-
 // --- MetricsEndpoint --------------------------------------------------------
 
 // Minimal scrape client mirroring tools/stab_metrics_scrape: connect, send
@@ -683,8 +681,6 @@ TEST(MetricsEndpoint, RendersDeterministicallyWithoutServing) {
   EXPECT_NE(p1.find("stab_a_b_c_d 1"), std::string::npos) << p1;
   EXPECT_EQ(ep.render_jsonl(), ep.render_jsonl());
 }
-
-#endif  // STAB_OBS_ENABLED
 
 }  // namespace
 }  // namespace stab

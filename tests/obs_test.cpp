@@ -1,8 +1,7 @@
 // Tests for the observability layer (src/obs): histogram bucket math and
 // percentile estimates pinned against a sorted-vector oracle, registry
-// semantics and JSONL export determinism, tracer lifecycle + determinism
-// over the simulator, and the StabilizerStats compatibility view reading
-// through the per-node registry.
+// semantics and JSONL export determinism, and tracer lifecycle +
+// determinism over the simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "core/stabilizer.hpp"
+#include "counter_check.hpp"
 #include "net/sim_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -395,42 +395,6 @@ TEST(TraceE2E, IdenticalSimRunsProduceByteIdenticalArtifacts) {
   EXPECT_EQ(a.metrics, b.metrics);
 }
 
-TEST(StatsCompat, StructViewReadsThroughRegistry) {
-  sim::Simulator sim;
-  Topology topo = mesh_topology(3);
-  SimCluster cluster(topo, sim);
-  std::vector<std::unique_ptr<Stabilizer>> nodes;
-  for (NodeId n = 0; n < 3; ++n) {
-    StabilizerOptions opts;
-    opts.topology = topo;
-    opts.self = n;
-    nodes.push_back(std::make_unique<Stabilizer>(opts, cluster.transport(n)));
-  }
-  nodes[0]->register_predicate("all", "MIN($ALLWNODES)");
-  for (int i = 0; i < 4; ++i) nodes[0]->send(to_bytes("x"));
-  sim.run();
-
-  StabilizerStats s = nodes[0]->stats();
-  obs::MetricsRegistry& reg = nodes[0]->metrics();
-  EXPECT_EQ(s.messages_sent, 4u);
-  EXPECT_EQ(s.messages_sent, reg.find_counter("core.messages_sent")->value());
-  EXPECT_EQ(s.frames_transmitted,
-            reg.find_counter("data.frames_transmitted")->value());
-  EXPECT_EQ(s.shared_sends, reg.find_counter("data.shared_sends")->value());
-  EXPECT_EQ(s.report_entries_applied,
-            reg.find_counter("control.report_entries_applied")->value());
-  EXPECT_GT(s.frames_transmitted, 0u);
-  EXPECT_GT(s.report_entries_applied, 0u);
-  // Engine-owned eval counters still aggregate into the view.
-  EXPECT_GT(s.predicate_evals, 0u);
-
-  StabilizerStats s1 = nodes[1]->stats();
-  EXPECT_EQ(s1.messages_delivered, 4u);
-  EXPECT_EQ(s1.messages_delivered,
-            nodes[1]->metrics().find_counter("core.messages_delivered")
-                ->value());
-}
-
 TEST(FrontierLag, HistogramAndPerKeyGaugePopulated) {
   sim::Simulator sim;
   Topology topo = mesh_topology(3);
@@ -537,8 +501,7 @@ TEST(LatencyProbe, EvictsOldestSpanPastMaxOpenAndCounts) {
   obs::LatencyProbe probe(popt);
   for (SeqNum s = 0; s < 6; ++s)
     probe.on_send(0, s, TimePoint{Duration{s}});
-  EXPECT_EQ(probe.registry().find_counter("probe.spans_evicted")->value(),
-            2u);
+  EXPECT_EQ(counter(probe.registry(), "probe.spans_evicted"), 2u);
   // Evicted seqs 0 and 1 no longer close; surviving 2..5 do.
   probe.on_stable(0, 5, 5, "all", TimePoint{Duration{100}});
   EXPECT_EQ(
@@ -627,10 +590,7 @@ TEST(TraceDrop, StabilizerExportsDroppedCountAsRegistryCounter) {
   ASSERT_GT(tracer->dropped(), 0u);
   // metrics() folds the tracer's drop count into obs.trace_dropped. The
   // shared tracer's drops appear at whichever node's metrics are read.
-  const obs::Counter* c =
-      nodes[0]->metrics().find_counter("obs.trace_dropped");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->value(), tracer->dropped());
+  EXPECT_EQ(counter(*nodes[0], "obs.trace_dropped"), tracer->dropped());
 }
 
 // --- New span coverage ----------------------------------------------------------

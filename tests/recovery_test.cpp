@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "counter_check.hpp"
 #include "kv/wan_kv.hpp"
 #include "net/sim_transport.hpp"
 
@@ -123,13 +124,9 @@ TEST(StallDetection, RecoveredHandlerClosesEpisodesExactlyOnce) {
   // Strict alternation, one recover per stall, nothing after quiescence.
   EXPECT_EQ(events, (std::vector<std::string>{"stall1", "recover1", "stall1",
                                               "recover1"}));
-  // Stats mirror the handler counts only when the obs layer is compiled in
-  // (registry-backed fields read zero under -DSTAB_OBS=OFF).
-#if STAB_OBS_ENABLED
-  StabilizerStats st = f.node(0).stats();
-  EXPECT_EQ(st.peer_stall_episodes, 2u);
-  EXPECT_EQ(st.peer_recover_episodes, 2u);
-#endif
+  // The episode counters mirror the handler counts.
+  EXPECT_EQ(counter(f.node(0), "core.peer_stall_episodes"), 2u);
+  EXPECT_EQ(counter(f.node(0), "core.peer_recover_episodes"), 2u);
 }
 
 TEST(StallDetection, TypicalReactionAdjustsPredicates) {

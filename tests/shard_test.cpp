@@ -14,6 +14,7 @@
 
 #include "control/composite_frontier.hpp"
 #include "core/stabilizer.hpp"
+#include "counter_check.hpp"
 #include "data/wire.hpp"
 #include "dsl/shard_ref.hpp"
 #include "net/sim_transport.hpp"
@@ -257,9 +258,9 @@ TEST(ShardedStabilizer, RoutesByKeyWithPerShardFifoDelivery) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], (std::vector<SeqNum>{0, 1, 2}));
   EXPECT_EQ(got[1], (std::vector<SeqNum>{0, 1, 2}));
-#if STAB_OBS_ENABLED  // registry-backed stats read zero when compiled out
-  EXPECT_EQ(f.node(0).stats().messages_sent, 6u);
-#endif
+  EXPECT_EQ(counter(f.node(0).shard(0), "core.messages_sent") +
+                counter(f.node(0).shard(1), "core.messages_sent"),
+            6u);
 }
 
 TEST(ShardedStabilizer, CompositeFrontierMinCombinesAcrossShards) {
@@ -445,20 +446,18 @@ TEST(ShardedStabilizer, BrokerTopicRoutingAgreesWithRouter) {
   }
 }
 
-TEST(ShardedStabilizer, StatsSumAcrossShards) {
+TEST(ShardedStabilizer, EachShardRegistryCountsItsOwnStream) {
   ShardedSimFixture f(2, 2);
   f.node(0).send_to_shard(0, to_bytes("a"));
   f.node(0).send_to_shard(1, to_bytes("b"));
   f.node(0).send_to_shard(1, to_bytes("c"));
   f.sim.run();
-  const StabilizerStats total = f.node(0).stats();
-#if STAB_OBS_ENABLED  // registry-backed stats read zero when compiled out
-  EXPECT_EQ(total.messages_sent, 3u);
-#endif
-  // The facade sum equals the per-shard sum in every flavor (0 == 0 + 0
-  // when the counters are compiled out).
-  EXPECT_EQ(total.messages_sent, f.node(0).shard(0).stats().messages_sent +
-                                     f.node(0).shard(1).stats().messages_sent);
+  // A sharded node's counters live in one registry per shard, labelled
+  // with the shard id.
+  for (ShardId s = 0; s < 2; ++s)
+    EXPECT_EQ(f.node(0).shard(s).metrics().shard(), static_cast<int>(s));
+  EXPECT_EQ(counter(f.node(0).shard(0), "core.messages_sent"), 1u);
+  EXPECT_EQ(counter(f.node(0).shard(1), "core.messages_sent"), 2u);
 }
 
 }  // namespace
